@@ -1,6 +1,6 @@
 """Compare the pure-Python kernels against the compiled extension.
 
-Runs the same four workloads through both backends and prints a small
+Runs the same kernel workloads through both backends and prints a small
 table. Inputs are built once, up front, so only kernel time is measured.
 
     python benchmarks/bench_backends.py [--repeat N]
@@ -15,7 +15,14 @@ import time
 from locdim import _pure
 from locdim.dimension import distinguisher_sets
 from locdim.enumeration import connected_graphs
-from locdim.families import apex_triangles, complete_minus_bipartite, gamma1, gamma2, upsilon
+from locdim.families import (
+    apex_triangles,
+    complete,
+    complete_minus_bipartite,
+    gamma1,
+    gamma2,
+    upsilon,
+)
 from locdim.graphs import bfs_distances
 
 try:
@@ -45,6 +52,16 @@ def build_workloads():
             rng.shuffle(perm)
             relabelings.append(g.relabel(perm).adj)
 
+    # every order-7 class (stars, complete multipartite and other twin-rich
+    # graphs among them) plus extra copies of two graphs made of twin classes
+    order7_relabelings = []
+    twin_rich = [complete(7), complete_minus_bipartite(7, 3, 3)]
+    for g, copies in [(g, 3) for g in connected_graphs(7)] + [(g, 25) for g in twin_rich]:
+        for _ in range(copies):
+            perm = list(range(7))
+            rng.shuffle(perm)
+            order7_relabelings.append(g.relabel(perm).adj)
+
     cliques = [_random_adj(rng, 55, 0.9) for _ in range(6)]
 
     systems = []
@@ -65,6 +82,10 @@ def build_workloads():
         for adj in relabelings:
             impl.canonical_bits(6, adj)
 
+    def canonical7(impl):
+        for adj in order7_relabelings:
+            impl.canonical_bits(7, adj)
+
     def clique(impl):
         for adj in cliques:
             impl.max_clique(55, adj)
@@ -80,6 +101,10 @@ def build_workloads():
 
     return [
         ("canonical labeling, 2800 relabeled order-6 graphs", canonical),
+        (
+            f"canonical labeling, {len(order7_relabelings)} relabeled order-7 classes",
+            canonical7,
+        ),
         ("maximum clique, 6 dense 55-vertex graphs", clique),
         ("minimum hitting set, 8 dimension systems", hitting),
         ("induced embedding, both patterns over 853 hosts", embedding),

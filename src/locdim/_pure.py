@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .graphs import twin_masks
+
 __all__ = ["max_clique", "min_hitting_set", "canonical_bits", "induced_embedding"]
 
 
@@ -196,45 +198,62 @@ def canonical_bits(n: int, adj: Sequence[int]) -> int:
     fills positions one vertex at a time and only ever extends with a
     smallest attainable adjacency column, so ties between columns are the
     only branching points; prefixes that already exceed the best string are
-    cut.
+    cut. The unplaced vertices are carried down the tree as an ordered
+    partition into cells of equal column, and placing a vertex extends every
+    cell's column by one bit, so no column is ever rebuilt.
+
+    Twin pruning: u and v are twins when adj[u] - {v} == adj[v] - {u} (true
+    and false twins alike). Swapping two unplaced twins is an automorphism
+    that fixes every placed vertex, so their subtrees yield the same strings
+    and only one vertex per twin class is branched on at each node. Tied
+    candidates are tried in ascending degree order (ties by index), which
+    tends to reach a small string early and lets the prefix cut fire sooner.
+    Neither change alters the set of strings reachable from the root, and
+    the minimum of that set is unique, so the result is the same as the
+    unpruned search; the compiled backend keeps the unpruned DFS and returns
+    identical values.
     """
     if n > 11:
         raise ValueError(f"canonical_bits supports n <= 11, got {n}")
     if n <= 1:
         return 0
     m = n * (n - 1) // 2
-    best: int | None = None
+    twins = twin_masks(adj)
+    order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
+    best = -1
 
-    def rec(t: int, prefix: int, nbits: int, placed: list[int], used: int) -> None:
+    # cells: the unplaced vertices grouped by adjacency column against the
+    # placed ones (first placed vertex most significant), as (column, mask)
+    # pairs in ascending column order; the first cell holds the tied minimum
+    def rec(t: int, prefix: int, cells: list[tuple[int, int]]) -> None:
         nonlocal best
-        if t == n:
-            if best is None or prefix < best:
+        min_col, tied = cells[0]
+        prefix = (prefix << t) | min_col
+        if t == n - 1:
+            if best < 0 or prefix < best:
                 best = prefix
             return
-        min_col = -1
-        tied: list[int] = []
-        for v in range(n):
-            if (used >> v) & 1:
-                continue
-            col = 0
-            for p in placed:
-                col = (col << 1) | ((adj[p] >> v) & 1)
-            if min_col < 0 or col < min_col:
-                min_col = col
-                tied = [v]
-            elif col == min_col:
-                tied.append(v)
-        prefix = (prefix << t) | min_col
-        nbits += t
-        if best is not None and prefix > (best >> (m - nbits)):
+        if best >= 0 and prefix > (best >> (m - t * (t + 1) // 2)):
             return
-        for v in tied:
-            placed.append(v)
-            rec(t + 1, prefix, nbits, placed, used | (1 << v))
-            placed.pop()
+        taken = 0
+        for v in order:
+            if not (tied >> v) & 1 or twins[v] & taken:
+                continue
+            taken |= 1 << v
+            row = adj[v]
+            bit = 1 << v
+            # placing v appends one bit to every column: each cell splits
+            # into v's non-neighbors, then v's neighbors, keeping the order
+            split = []
+            for col, mask in cells:
+                mask &= ~bit
+                if mask & ~row:
+                    split.append((col << 1, mask & ~row))
+                if mask & row:
+                    split.append(((col << 1) | 1, mask & row))
+            rec(t + 1, prefix, split)
 
-    rec(0, 0, 0, [], 0)
-    assert best is not None
+    rec(0, 0, [(0, (1 << n) - 1)])
     return best
 
 

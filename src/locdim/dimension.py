@@ -14,7 +14,14 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import kernels
-from .graphs import DistanceMatrix, Graph, bfs_distances, bit_indices
+from .graphs import (
+    DisconnectedError,
+    DistanceMatrix,
+    Graph,
+    bfs_distances,
+    bit_indices,
+    is_connected,
+)
 from .invariants import clique_number, twin_partition
 
 MODES = ("local", "full")
@@ -72,8 +79,8 @@ class DimResult:
 
 
 def lower_bounds(g: Graph) -> LowerBounds:
-    dm_check = bfs_distances(g)  # rejects disconnected input
-    del dm_check
+    if not is_connected(g):
+        raise DisconnectedError("distances undefined: graph is disconnected")
     omega = clique_number(g)
     return LowerBounds(
         twin=g.n - twin_partition(g).class_count,

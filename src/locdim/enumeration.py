@@ -1,9 +1,18 @@
 """Canonical forms and exhaustive streams of small connected graphs.
 
 Canonical labeling minimizes the packed upper-triangle bit string over all
-relabelings (brute-force DFS with prefix pruning), so it is deliberately
-capped at 8 vertices; that covers every exhaustive sweep this package runs.
-Larger inputs must arrive as pre-deduplicated corpora.
+relabelings. The search is a DFS over minimum-column ties with a prefix cut;
+the pure kernel also branches on one vertex per twin class and tries
+low-degree vertices first (see locdim._pure.canonical_bits). It is still
+exponential in the worst case, so it is deliberately capped at 8 vertices;
+that covers every exhaustive sweep this package runs. Larger inputs must
+arrive as pre-deduplicated corpora.
+
+The order-n class stream attaches a new vertex to every class of order n-1
+with every neighborhood that is not the image of a smaller one under a
+permutation of the parent's twins, and collapses isomorphic children by
+canonical key. Skipped neighborhoods only ever produce children isomorphic
+to kept ones, so the stream is the same as without the skip.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .graphs import (
     graph_from_triangle_bits,
     to_graph6,
     triangle_bits,
+    twin_masks,
 )
 
 CANONICAL_MAX_VERTICES = 8
@@ -63,16 +73,28 @@ def _connected_class_bits(n: int) -> tuple[int, ...]:
     # after deleting some vertex (a leaf of a spanning tree), so attaching
     # one vertex with every non-empty neighborhood to every smaller class
     # reaches every class; canonical keys collapse the duplicates.
+    #
+    # Twins of the parent form classes on which the whole symmetric group
+    # acts by automorphisms, so a neighborhood S and its image under any
+    # permutation inside the classes give isomorphic children. Keeping only
+    # the S whose intersection with each class is that class's lowest
+    # members (v in S forces every lower twin u of v into S) leaves one
+    # neighborhood per orbit and drops only duplicates.
     if n == 1:
         return (0,)
+    top = 1 << (n - 1)
     seen: set[int] = set()
     for pbits in _connected_class_bits(n - 1):
-        prev = graph_from_triangle_bits(n - 1, pbits)
-        for nbhd in range(1, 1 << (n - 1)):
-            rows = [
-                prev.adj[v] | (1 << (n - 1)) if (nbhd >> v) & 1 else prev.adj[v]
-                for v in range(n - 1)
-            ]
+        adj = graph_from_triangle_bits(n - 1, pbits).adj
+        lower_twins = [
+            (1 << v, twins & ((1 << v) - 1))
+            for v, twins in enumerate(twin_masks(adj))
+            if twins & ((1 << v) - 1)
+        ]
+        for nbhd in range(1, top):
+            if any(nbhd & vbit and lower & ~nbhd for vbit, lower in lower_twins):
+                continue
+            rows = [row | top if (nbhd >> v) & 1 else row for v, row in enumerate(adj)]
             rows.append(nbhd)
             seen.add(kernels.canonical_bits(n, rows))
     return tuple(sorted(seen))
@@ -87,9 +109,11 @@ def connected_graphs(n: int) -> Iterator[Graph]:
         yield graph_from_triangle_bits(n, bits)
 
 
-def connected_class_count_by_filter(n: int) -> int:
+@functools.lru_cache(maxsize=None)
+def connected_class_bits_by_filter(n: int) -> frozenset[int]:
     """Independent recount of the class stream: canonicalize every labeled
-    connected graph on n vertices. Exponential in n**2, meant for n <= 6."""
+    connected graph on n vertices and return the distinct canonical bits.
+    Exponential in n**2, meant for n <= 6."""
     if not 1 <= n <= 6:
         raise ValueError(f"filter recount supports 1 <= n <= 6, got {n}")
     m = n * (n - 1) // 2
@@ -114,7 +138,12 @@ def connected_class_count_by_filter(n: int) -> int:
             seen |= nxt
         if seen == full:
             keys.add(kernels.canonical_bits(n, rows))
-    return len(keys)
+    return frozenset(keys)
+
+
+def connected_class_count_by_filter(n: int) -> int:
+    """Number of classes found by connected_class_bits_by_filter."""
+    return len(connected_class_bits_by_filter(n))
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,21 @@ def triangle_bits(n: int, adj: Sequence[int]) -> int:
     return bits
 
 
+def twin_masks(adj: Sequence[int]) -> list[int]:
+    """Bit u of entry v is set iff u != v are twins: adj[u] - {v} equals
+    adj[v] - {u}. Covers adjacent (true) and non-adjacent (false) twins;
+    swapping two twins is an automorphism."""
+    n = len(adj)
+    twins = [0] * n
+    for u in range(n):
+        row_u = adj[u]
+        for v in range(u + 1, n):
+            if row_u & ~(1 << v) == adj[v] & ~(1 << u):
+                twins[u] |= 1 << v
+                twins[v] |= 1 << u
+    return twins
+
+
 def graph_from_triangle_bits(n: int, bits: int) -> Graph:
     """Inverse of triangle_bits."""
     m = n * (n - 1) // 2

@@ -2,8 +2,8 @@
 
 Everything here is deliberately simple and independent of the package's
 search kernels: subset enumeration instead of branch and bound, index-order
-assignment instead of ordered backtracking. Slow on purpose; only run at
-small orders.
+assignment instead of ordered backtracking, every permutation instead of a
+pruned canonical search. Slow on purpose; only run at small orders.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import random
 
 from locdim.dimension import is_local_resolving, is_resolving
 from locdim.enumeration import connected_graphs
-from locdim.graphs import Graph, bfs_distances, build, is_connected
+from locdim.families import complete, cycle
+from locdim.graphs import Graph, bfs_distances, build, is_connected, triangle_bits
 
 
 def naive_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -62,6 +63,66 @@ def naive_induced_exists(host: Graph, pattern: Graph) -> bool:
         return False
 
     return rec(0, 0)
+
+
+def naive_canonical_bits(n: int, adj) -> int:
+    """Minimum of triangle_bits over all n! relabelings, nothing pruned.
+    Position i of a relabeling holds the original vertex perm[i]."""
+    best = None
+    for perm in itertools.permutations(range(n)):
+        rows = [0] * n
+        for i in range(n):
+            row = adj[perm[i]]
+            for j in range(n):
+                if (row >> perm[j]) & 1:
+                    rows[i] |= 1 << j
+        bits = triangle_bits(n, rows)
+        if best is None or bits < best:
+            best = bits
+    return best
+
+
+def complete_multipartite(*parts: int) -> Graph:
+    """Vertices numbered part by part; two vertices are adjacent iff they
+    lie in different parts. Two parts give the complete bipartite graphs,
+    (1, k) the stars."""
+    label = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(label)
+    return build(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if label[u] != label[v]]
+    )
+
+
+def blow_up(base: Graph, sizes, cliques: bool) -> Graph:
+    """Replace vertex i of base by sizes[i] copies: false twins (an
+    independent set) or, with cliques, true twins. Copies of adjacent base
+    vertices are all joined."""
+    owner = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(owner)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if base.has_edge(owner[u], owner[v]) or (cliques and owner[u] == owner[v])
+    ]
+    return build(n, edges)
+
+
+def twin_rich_graphs() -> list[Graph]:
+    """Graphs with large twin classes, at most 7 vertices, and their
+    complements (disjoint unions of cliques and other disconnected cases
+    among them)."""
+    graphs = [complete(n) for n in range(1, 8)]
+    for parts in (
+        (1, 2), (1, 3), (1, 5), (1, 6),
+        (2, 2), (2, 3), (3, 3), (2, 5), (3, 4),
+        (1, 1, 2), (2, 2, 2), (1, 2, 3), (1, 1, 2, 3), (2, 2, 3), (1, 1, 1, 1, 3),
+    ):
+        graphs.append(complete_multipartite(*parts))
+    for sizes in ((2, 1, 1, 1, 1), (2, 2, 1, 1, 1), (2, 1, 2, 1, 1), (3, 1, 1, 1, 1)):
+        for cliques in (False, True):
+            graphs.append(blow_up(cycle(5), sizes, cliques))
+    return graphs + [g.complement() for g in graphs]
 
 
 def random_connected(rng: random.Random, n: int, p: float | None = None) -> Graph:

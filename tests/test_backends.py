@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import twin_rich_graphs
 
 from locdim import _pure, kernels
 
@@ -95,6 +96,8 @@ def test_canonical_bits_agreement():
         n = rng.randint(1, 7)
         adj = _random_adj(rng, n, rng.uniform(0.2, 0.8))
         assert _pure.canonical_bits(n, adj) == compiled.canonical_bits(n, adj)
+    for g in twin_rich_graphs():
+        assert _pure.canonical_bits(g.n, g.adj) == compiled.canonical_bits(g.n, g.adj)
 
 
 @pytest.mark.parametrize("impl", [_pure, compiled], ids=["pure", "compiled"])

@@ -11,7 +11,9 @@ import random
 
 import pytest
 
-from locdim import kernels
+from conftest import complete_multipartite, naive_canonical_bits, twin_rich_graphs
+
+from locdim import _pure
 from locdim.enumeration import (
     CANONICAL_MAX_VERTICES,
     CONNECTED_CLASS_COUNTS,
@@ -20,16 +22,19 @@ from locdim.enumeration import (
     canonical_form,
     canonical_graph6,
     canonical_key,
+    connected_class_bits_by_filter,
     connected_class_count_by_filter,
     connected_graphs,
     read_corpus,
 )
 from locdim.families import complete, cycle, path
-from locdim.graphs import Graph6Error, build, is_connected, to_graph6
-
-compiled_only = pytest.mark.skipif(
-    kernels.BACKEND != "compiled",
-    reason="exhaustive sweep is slow on the pure backend",
+from locdim.graphs import (
+    Graph6Error,
+    build,
+    graph_from_triangle_bits,
+    is_connected,
+    to_graph6,
+    triangle_bits,
 )
 
 
@@ -69,13 +74,59 @@ class TestCanonical:
             canonical_key(complete(9))
 
 
+class TestCanonicalOracle:
+    """The pure kernel against the n! oracle, which shares none of its
+    pruning: twin classes, degree order and the prefix cut."""
+
+    def test_every_labeled_graph_up_to_order_five(self):
+        assert _pure.canonical_bits(0, []) == naive_canonical_bits(0, []) == 0
+        for n in range(1, 6):
+            for bits in range(1 << (n * (n - 1) // 2)):
+                adj = graph_from_triangle_bits(n, bits).adj
+                assert _pure.canonical_bits(n, adj) == naive_canonical_bits(n, adj)
+
+    def test_random_orders_six_and_seven(self):
+        rng = random.Random(2014)
+        for n, count in ((6, 30), (7, 8)):
+            for _ in range(count):
+                p = rng.uniform(0.15, 0.85)
+                g = build(
+                    n,
+                    [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
+                )
+                assert _pure.canonical_bits(n, g.adj) == naive_canonical_bits(n, g.adj)
+
+    def test_twin_rich_families(self):
+        rng = random.Random(1998)
+        for g in twin_rich_graphs():
+            expected = naive_canonical_bits(g.n, g.adj)
+            assert _pure.canonical_bits(g.n, g.adj) == expected
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert _pure.canonical_bits(g.n, g.relabel(perm).adj) == expected
+
+    def test_order_eleven_twin_classes(self):
+        # 11! relabelings tie here; one branch per twin class keeps it fast
+        assert _pure.canonical_bits(11, complete(11).adj) == (1 << 55) - 1
+        assert _pure.canonical_bits(11, [0] * 11) == 0
+        g = complete_multipartite(5, 6)
+        perm = [3, 9, 0, 7, 1, 10, 5, 2, 8, 4, 6]
+        assert _pure.canonical_bits(11, g.relabel(perm).adj) == _pure.canonical_bits(
+            11, g.adj
+        )
+
+    def test_order_cap(self):
+        with pytest.raises(ValueError):
+            _pure.canonical_bits(12, [0] * 12)
+
+
 class TestStreams:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_class_counts(self, n):
         graphs = list(connected_graphs(n))
         assert len(graphs) == CONNECTED_CLASS_COUNTS[n]
 
-    @compiled_only
     def test_class_count_order_seven(self):
         assert sum(1 for _ in connected_graphs(7)) == CONNECTED_CLASS_COUNTS[7]
 
@@ -94,9 +145,12 @@ class TestStreams:
     def test_labeled_recount_agrees(self, n):
         assert connected_class_count_by_filter(n) == CONNECTED_CLASS_COUNTS[n]
 
-    @compiled_only
     def test_labeled_recount_agrees_order_six(self):
         assert connected_class_count_by_filter(6) == CONNECTED_CLASS_COUNTS[6]
+
+    def test_class_set_matches_labeled_filter_order_six(self):
+        stream = {triangle_bits(g.n, g.adj) for g in connected_graphs(6)}
+        assert stream == connected_class_bits_by_filter(6)
 
     @pytest.mark.parametrize("n", [0, 8])
     def test_stream_domain(self, n):

@@ -24,6 +24,7 @@ from locdim.graphs import (
     is_triangle_free,
     to_graph6,
     triangle_bits,
+    twin_masks,
 )
 
 K5_G6 = "D~{"
@@ -254,6 +255,21 @@ class TestPredicates:
         assert is_triangle_free(build(5, C5_EDGES))
         assert is_triangle_free(build(4, [(0, 1), (0, 2), (0, 3)]))
         assert not is_triangle_free(build(3, [(0, 1), (1, 2), (0, 2)]))
+
+    def test_twin_masks(self):
+        # a star's leaves are false twins, a triangle's vertices true twins,
+        # and the cycle C5 has none
+        assert twin_masks(build(4, [(0, 1), (0, 2), (0, 3)]).adj) == [0, 0b1100, 0b1010, 0b0110]
+        assert twin_masks(build(3, [(0, 1), (1, 2), (0, 2)]).adj) == [0b110, 0b101, 0b011]
+        assert twin_masks(build(5, C5_EDGES).adj) == [0] * 5
+
+    @given(graphs(max_n=8))
+    def test_twin_swap_is_automorphism(self, g: Graph):
+        for v, twins in enumerate(twin_masks(g.adj)):
+            for u in bit_indices(twins):
+                perm = list(range(g.n))
+                perm[u], perm[v] = v, u
+                assert g.relabel(perm) == g
 
     @given(graphs(max_n=8))
     def test_bipartite_iff_no_odd_cycle(self, g: Graph):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from locdim import kernels
 from locdim.enumeration import canonical_key, connected_graphs
 from locdim.families import (
     complete,
@@ -32,11 +31,6 @@ from locdim.verify import (
     suite_over_order,
 )
 
-compiled_only = pytest.mark.skipif(
-    kernels.BACKEND != "compiled",
-    reason="exhaustive sweep is slow on the pure backend",
-)
-
 
 def _by_id(report: TheoremReport) -> dict[str, CheckResult]:
     return {r.check_id: r for r in report.results}
@@ -59,7 +53,6 @@ class TestRecognizer:
         two_edges = build(4, [(0, 1), (2, 3)])
         assert complete_minus_bipartite_params(two_edges) is None
 
-    @compiled_only
     def test_agrees_with_canonical_membership(self):
         by_key = {}
         for n in range(3, 8):
