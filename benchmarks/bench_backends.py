@@ -13,7 +13,7 @@ import random
 import time
 
 from locdim import _pure
-from locdim.dimension import distinguisher_sets
+from locdim.dimension import distinguisher_sets, lower_bounds
 from locdim.enumeration import connected_graphs
 from locdim.families import (
     apex_triangles,
@@ -23,7 +23,7 @@ from locdim.families import (
     gamma2,
     upsilon,
 )
-from locdim.graphs import bfs_distances
+from locdim.graphs import Graph, bfs_distances, is_connected
 
 try:
     from locdim import _speedups
@@ -75,6 +75,19 @@ def build_workloads():
         systems.append((g.n, distinguisher_sets(g, dm).masks()))
         systems.append((g.n, distinguisher_sets(g, dm, "full").masks()))
 
+    # dense systems with the solver's real floors, deep enough to exercise
+    # the tree search (the family systems above are small and floorless)
+    dense_systems = []
+    for p in (0.6, 0.9):
+        for _ in range(2):
+            g = Graph(28, tuple(_random_adj(rng, 28, p)))
+            while not is_connected(g):
+                g = Graph(28, tuple(_random_adj(rng, 28, p)))
+            dm = bfs_distances(g)
+            best = lower_bounds(g).best
+            for mode in ("local", "full"):
+                dense_systems.append((g.n, distinguisher_sets(g, dm, mode).masks(), best))
+
     order7 = [g.adj for g in connected_graphs(7)]
     patterns = [gamma1().adj, gamma2().adj]
 
@@ -94,6 +107,10 @@ def build_workloads():
         for n, masks in systems:
             impl.min_hitting_set(n, masks, 0)
 
+    def hitting_dense(impl):
+        for n, masks, best in dense_systems:
+            impl.min_hitting_set(n, masks, best)
+
     def embedding(impl):
         for host in order7:
             for pat in patterns:
@@ -107,6 +124,7 @@ def build_workloads():
         ),
         ("maximum clique, 6 dense 55-vertex graphs", clique),
         ("minimum hitting set, 8 dimension systems", hitting),
+        ("minimum hitting set, dense G(n,p) systems", hitting_dense),
         ("induced embedding, both patterns over 853 hosts", embedding),
     ]
 

@@ -96,6 +96,14 @@ def _pack_bound(cons: list[int]) -> int:
     return lb
 
 
+def _exclude(rem: list[int], v: int) -> list[int] | None:
+    """Delete element v from every constraint; None if one becomes empty,
+    otherwise the restricted constraints stably sorted by size."""
+    keep = ~(1 << v)
+    rem = sorted([c & keep for c in rem], key=int.bit_count)
+    return rem if rem[0] else None
+
+
 def min_hitting_set(
     universe: int, constraints: Sequence[int], lower_bound: int = 0
 ) -> tuple[int, int]:
@@ -106,6 +114,27 @@ def min_hitting_set(
     (size, witness_mask) where the witness is the lexicographically smallest
     optimal set under sorted-tuple comparison, rebuilt in a second phase
     from greedy prefix feasibility probes.
+
+    Only the inclusion-minimal constraints matter, since hitting a subset
+    hits every superset. They are found by one pass in (size, value) order
+    that keeps a constraint when no kept constraint is a subset of it: a
+    proper subset is strictly smaller, so it comes first, and a subset of a
+    dropped constraint is itself a superset of a kept one.
+
+    Both the value search and the rebuild probes branch on the elements of
+    the smallest remaining constraint, in ascending order, with exclusion:
+    once the subtree that takes v has been searched, every hitting set that
+    contains v has been seen, so v is deleted from the remaining constraints
+    before the next sibling. The siblings stop when a constraint becomes
+    empty. The restricted constraints are re-sorted by size, so a size-1
+    constraint gives a single forced branch in the child (unit
+    propagation), and the disjoint-packing bound, re-checked after each
+    deletion, is tighter on the smaller constraints. Each probe of the
+    rebuild restricts the constraints to the allowed elements once, at its
+    root. The siblings partition the hitting sets that the overlapping
+    search visited, so the value (the unique minimum) and the answer of
+    every probe, hence the witness, are the same as before. The compiled
+    backend keeps the overlapping search and returns identical outputs.
     """
     if not 0 <= universe <= 62:
         raise ValueError(f"universe size must be in 0..62, got {universe}")
@@ -116,9 +145,10 @@ def min_hitting_set(
         raise ValueError("unsatisfiable constraint system: empty constraint")
     if uniq[-1] >> universe:
         raise ValueError("constraint mentions an element outside the universe")
-    # hitting a constraint's subset hits the constraint: keep minimal ones only
-    cons = [c for c in uniq if not any(o != c and o & ~c == 0 for o in uniq)]
-    cons.sort(key=lambda c: (c.bit_count(), c))
+    cons: list[int] = []
+    for c in sorted(uniq, key=int.bit_count):
+        if all(k & ~c for k in cons):
+            cons.append(c)
     floor = max(lower_bound, 1, _pack_bound(cons))
 
     # greedy cover (most-hits-first) for the initial upper bound
@@ -135,6 +165,7 @@ def min_hitting_set(
 
     state = [best_size]
 
+    # rem holds no empty constraint and is in size order
     def search(chosen: int, rem: list[int]) -> None:
         if not rem:
             if chosen < state[0]:
@@ -144,30 +175,32 @@ def min_hitting_set(
             return
         if chosen + _pack_bound(rem) >= state[0]:
             return
-        # every hitting set hits rem[0]; branch on its elements
+        # every hitting set hits rem[0]; branch on its elements (the bits of
+        # this rem[0], fixed when the loop starts)
         for v in _bits(rem[0]):
             search(chosen + 1, [c for c in rem if not (c >> v) & 1])
             if state[0] <= floor:
+                return
+            rem = _exclude(rem, v)
+            if rem is None or chosen + _pack_bound(rem) >= state[0]:
                 return
 
     if best_size > floor:
         search(0, cons)
     k = state[0]
 
-    def feasible(rem: list[int], budget: int, allowed: int) -> bool:
+    # rem is already restricted to the allowed elements, in size order
+    def feasible(rem: list[int], budget: int) -> bool:
         if not rem:
             return True
-        if budget <= 0:
+        if budget <= 0 or _pack_bound(rem) > budget:
             return False
-        restricted = [c & allowed for c in rem]
-        if 0 in restricted:
-            return False
-        if _pack_bound(rem) > budget:
-            return False
-        branch = min(restricted, key=lambda c: (c.bit_count(), c))
-        for v in _bits(branch):
-            if feasible([c for c in rem if not (c >> v) & 1], budget - 1, allowed):
+        for v in _bits(rem[0]):
+            if feasible([c for c in rem if not (c >> v) & 1], budget - 1):
                 return True
+            rem = _exclude(rem, v)
+            if rem is None or _pack_bound(rem) > budget:
+                return False
         return False
 
     full = (1 << universe) - 1
@@ -179,7 +212,10 @@ def min_hitting_set(
         for v in range(start, universe):
             nrem = [c for c in rem if not (c >> v) & 1]
             allowed = (full >> (v + 1)) << (v + 1)
-            if feasible(nrem, k - count - 1, allowed):
+            restricted = sorted([c & allowed for c in nrem], key=int.bit_count)
+            if (not restricted or restricted[0]) and feasible(
+                restricted, k - count - 1
+            ):
                 witness |= 1 << v
                 count += 1
                 rem = nrem

@@ -40,6 +40,18 @@ def naive_dimension(g: Graph, mode: str = "local") -> tuple[int, tuple[int, ...]
     raise AssertionError("no resolving set found, which is impossible")
 
 
+def naive_hitting_set(universe: int, masks) -> tuple[int, int]:
+    """Smallest set of elements 0..universe-1 meeting every mask, by trying
+    combinations of ascending size; the first hit is the lexicographically
+    smallest optimum. Returns (size, witness_mask)."""
+    for k in range(universe + 1):
+        for combo in itertools.combinations(range(universe), k):
+            chosen = sum(1 << v for v in combo)
+            if all(m & chosen for m in masks):
+                return k, chosen
+    raise AssertionError("no hitting set: some mask is empty")
+
+
 def naive_induced_exists(host: Graph, pattern: Graph) -> bool:
     """Injective assignments in pattern-index order; prefix-inconsistent
     branches abandoned, nothing else pruned."""

@@ -72,24 +72,6 @@ def test_min_hitting_set_agreement():
         )
 
 
-@pytest.mark.parametrize("impl", [_pure, compiled], ids=["pure", "compiled"])
-class TestHittingSetValidation:
-    def test_empty_constraint_rejected(self, impl):
-        with pytest.raises(ValueError):
-            impl.min_hitting_set(4, [0b0101, 0], 0)
-
-    def test_out_of_universe_bit_rejected(self, impl):
-        with pytest.raises(ValueError):
-            impl.min_hitting_set(3, [0b1000], 0)
-
-    def test_oversized_universe_rejected(self, impl):
-        with pytest.raises(ValueError):
-            impl.min_hitting_set(63, [1], 0)
-
-    def test_no_constraints(self, impl):
-        assert impl.min_hitting_set(5, [], 0) == (0, 0)
-
-
 def test_canonical_bits_agreement():
     rng = random.Random(SEED + 2)
     for _ in range(200):

@@ -6,10 +6,11 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import naive_dimension, random_connected
+from conftest import naive_dimension, naive_hitting_set, random_connected
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locdim import _pure
 from locdim.dimension import (
     LowerBounds,
     distinguisher_sets,
@@ -19,8 +20,26 @@ from locdim.dimension import (
     lower_bounds,
     metric_dimension,
 )
-from locdim.families import complete, complete_minus_bipartite, cycle, gamma1, path
+from locdim.families import (
+    apex_triangles,
+    complete,
+    complete_minus_bipartite,
+    cycle,
+    gamma1,
+    path,
+    upsilon,
+)
 from locdim.graphs import DisconnectedError, Graph, bfs_distances, build
+
+try:
+    from locdim import _speedups
+except ImportError:
+    _speedups = None
+
+# every kernel backend importable here; the compiled one only when built
+HITTING_IMPLS = [pytest.param(_pure, id="pure")] + (
+    [pytest.param(_speedups, id="compiled")] if _speedups is not None else []
+)
 
 STAR = build(4, [(0, 1), (0, 2), (0, 3)])
 
@@ -196,6 +215,161 @@ class TestExactValues:
             g = random_connected(rng, rng.randint(3, 7))
             result = local_metric_dimension(g)
             assert (result.value, result.witness) == naive_dimension(g, "local")
+
+
+@pytest.mark.parametrize("impl", HITTING_IMPLS)
+class TestHittingSetValidation:
+    def test_empty_constraint_rejected(self, impl):
+        with pytest.raises(ValueError):
+            impl.min_hitting_set(4, [0b0101, 0], 0)
+
+    def test_out_of_universe_bit_rejected(self, impl):
+        with pytest.raises(ValueError):
+            impl.min_hitting_set(3, [0b1000], 0)
+
+    def test_oversized_universe_rejected(self, impl):
+        with pytest.raises(ValueError):
+            impl.min_hitting_set(63, [1], 0)
+
+    def test_no_constraints(self, impl):
+        assert impl.min_hitting_set(5, [], 0) == (0, 0)
+
+
+def _random_system(rng: random.Random, universe: int) -> list[int]:
+    """Random masks with duplicates, nested pairs and singletons mixed in."""
+    masks: list[int] = []
+    for _ in range(rng.randint(1, 24)):
+        roll = rng.random()
+        if masks and roll < 0.15:
+            masks.append(rng.choice(masks))
+        elif masks and roll < 0.35:
+            masks.append(rng.choice(masks) | rng.getrandbits(universe))
+        elif roll < 0.45:
+            masks.append(1 << rng.randrange(universe))
+        else:
+            sparse = rng.getrandbits(universe) & rng.getrandbits(universe)
+            masks.append(sparse or 1 << rng.randrange(universe))
+    rng.shuffle(masks)
+    return masks
+
+
+class TestHittingSetOracle:
+    """The pure kernel's value and lex-smallest witness against subset
+    search, under every valid lower bound the solver can be handed."""
+
+    def _check(self, universe: int, masks: list[int]) -> None:
+        expected = naive_hitting_set(universe, masks)
+        for lb in sorted({0, 1, expected[0]}):
+            assert _pure.min_hitting_set(universe, masks, lb) == expected, (
+                universe,
+                masks,
+                lb,
+            )
+
+    def test_random_systems(self):
+        rng = random.Random(0x4177)
+        for _ in range(300):
+            universe = rng.randint(1, 14)
+            self._check(universe, _random_system(rng, universe))
+
+    @pytest.mark.parametrize("mode", ["local", "full"])
+    @pytest.mark.parametrize(
+        "g",
+        [complete_minus_bipartite(12, 5, 4), upsilon(0), upsilon(7), apex_triangles(4)],
+        ids=["K12-K5,4", "upsilon0", "upsilon7", "apex4"],
+    )
+    def test_family_systems(self, g, mode):
+        self._check(g.n, list(distinguisher_sets(g, bfs_distances(g), mode).masks()))
+
+
+def _oracle_distances(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+    """All-pairs hop distances by plain queue BFS, independent of the
+    package's bitmask BFS."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    rows = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        queue = [s]
+        for u in queue:
+            for v in nbrs[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        rows.append(dist)
+    return rows
+
+
+def _covering_milp(n, rows, lower=0, upper=1, extra=()):
+    """Minimize the number of chosen vertices subject to hitting every row,
+    per-vertex bounds, and extra (coefficients, lb, ub) rows."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    a = np.zeros((len(rows), n))
+    for i, ws in enumerate(rows):
+        a[i, ws] = 1.0
+    constraints = [LinearConstraint(a, lb=1.0, ub=np.inf)]
+    for coeffs, lb, ub in extra:
+        constraints.append(LinearConstraint(np.array([coeffs], dtype=float), lb, ub))
+    return milp(
+        c=np.ones(n),
+        constraints=constraints,
+        integrality=np.ones(n),
+        bounds=Bounds(lower, upper),
+    )
+
+
+class TestDenseIlpOracle:
+    """Dense graphs beyond subset search, checked against the covering ILP
+    of Chartrand, Eroh, Johnson and Oellermann (2000), restricted to edges
+    for the local version (Okamoto et al., 2010). SciPy is a test oracle
+    only."""
+
+    @pytest.mark.parametrize("n", [24, 28])
+    @pytest.mark.parametrize("p", [0.6, 0.9])
+    def test_value_and_lex_smallest_witness(self, n, p):
+        pytest.importorskip("scipy")
+        g = random_connected(random.Random(f"dense:{n}:{p}"), n, p)
+        edges = g.edges()
+        dist = _oracle_distances(n, edges)
+
+        def rows(pairs):
+            return [[w for w in range(n) if dist[w][u] != dist[w][v]] for u, v in pairs]
+
+        local_rows = rows(edges)
+        full_rows = rows([(u, v) for u in range(n) for v in range(u + 1, n)])
+        full = metric_dimension(g)
+        assert full.value == round(_covering_milp(n, full_rows).fun)
+        assert all(set(r) & set(full.witness) for r in full_rows)
+        local = local_metric_dimension(g)
+        k = local.value
+        assert k == round(_covering_milp(n, local_rows).fun)
+        assert all(set(r) & set(local.witness) for r in local_rows)
+
+        # no hitting set of size k is lexicographically smaller: for each
+        # position i, keep w_1..w_{i-1}, forbid every other vertex below
+        # w_{i-1}, and demand one vertex strictly between w_{i-1} and w_i
+        w = local.witness
+        assert len(w) == k and list(w) == sorted(w)
+        for i in range(k):
+            prev = w[i - 1] if i else -1
+            if w[i] == prev + 1:
+                continue
+            lower = [1 if u in w[:i] else 0 for u in range(n)]
+            upper = [1 if u in w[:i] or u > prev else 0 for u in range(n)]
+            between = [1 if prev < u < w[i] else 0 for u in range(n)]
+            res = _covering_milp(
+                n,
+                local_rows,
+                lower,
+                upper,
+                extra=[(between, 1, float("inf")), ([1] * n, 0, k)],
+            )
+            assert res.status == 2, (w, i, res.message)
 
 
 class TestProperties:
