@@ -12,17 +12,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .graphs import twin_masks
+from .graphs import bit_indices, twin_masks
 
 __all__ = ["max_clique", "min_hitting_set", "canonical_bits", "induced_embedding"]
-
-
-def _bits(mask: int):
-    """Yield the set bit positions of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _clique_expand(adj: Sequence[int], size: int, cand: int, best: int) -> int:
@@ -157,7 +149,7 @@ def min_hitting_set(
     while rem:
         counts: dict[int, int] = {}
         for c in rem:
-            for v in _bits(c):
+            for v in bit_indices(c):
                 counts[v] = counts.get(v, 0) + 1
         v = min(counts, key=lambda u: (-counts[u], u))
         best_size += 1
@@ -177,7 +169,7 @@ def min_hitting_set(
             return
         # every hitting set hits rem[0]; branch on its elements (the bits of
         # this rem[0], fixed when the loop starts)
-        for v in _bits(rem[0]):
+        for v in bit_indices(rem[0]):
             search(chosen + 1, [c for c in rem if not (c >> v) & 1])
             if state[0] <= floor:
                 return
@@ -195,7 +187,7 @@ def min_hitting_set(
             return True
         if budget <= 0 or _pack_bound(rem) > budget:
             return False
-        for v in _bits(rem[0]):
+        for v in bit_indices(rem[0]):
             if feasible([c for c in rem if not (c >> v) & 1], budget - 1):
                 return True
             rem = _exclude(rem, v)

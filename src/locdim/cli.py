@@ -12,11 +12,10 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .dimension import local_metric_dimension, lower_bounds, metric_dimension
-from .enumeration import connected_graphs, read_corpus
+from .dimension import local_metric_dimension, metric_dimension
+from .enumeration import connected_graphs, parse_corpus, read_corpus
 from .families import FAMILY_GRAMMAR, from_spec
-from .graphs import GRAPH6_HEADER, Graph, Graph6Error, from_graph6, to_graph6
-from .invariants import clique_number, twin_partition
+from .graphs import Graph, Graph6Error, from_graph6, to_graph6
 from .pattern import find_induced, is_gamma_free
 
 EXIT_OK = 0
@@ -66,23 +65,6 @@ def _default_jobs() -> int:
         return 1
 
 
-def _graphs_from_text(text: str) -> list[tuple[str, Graph]]:
-    """Parse graph6 lines into (line, graph) pairs; malformed lines fail
-    with their line number."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        s = line.strip()
-        if not s or s == GRAPH6_HEADER:
-            continue
-        if s.startswith(GRAPH6_HEADER):
-            s = s[len(GRAPH6_HEADER):].lstrip()
-        try:
-            out.append((s, from_graph6(s)))
-        except Graph6Error as exc:
-            raise Graph6Error(f"line {lineno}: {exc}") from exc
-    return out
-
-
 def _graph_from_any(text: str) -> Graph:
     """Accept either a family spec or a graph6 string."""
     try:
@@ -97,12 +79,17 @@ def _graph_from_any(text: str) -> Graph:
 
 
 def _input_graphs(args) -> list[tuple[str, Graph]]:
+    """(name, graph) pairs: the family spec, or each graph's graph6 text,
+    which is unique per labeled graph and so equals its input line minus
+    any header prefix."""
     if args.family is not None:
         return [(args.family, from_spec(args.family))]
     if args.input == "-":
-        return _graphs_from_text(sys.stdin.read())
-    with open(args.input) as fh:
-        return _graphs_from_text(fh.read())
+        text = sys.stdin.read()
+    else:
+        with open(args.input) as fh:
+            text = fh.read()
+    return [(to_graph6(g), g) for g in parse_corpus(text, strict=True).graphs]
 
 
 def _suite_source(args) -> list[Graph]:
@@ -115,13 +102,13 @@ def _suite_source(args) -> list[Graph]:
 
 
 def _cmd_dim(args) -> int:
+    solve = metric_dimension if args.mode == "full" else local_metric_dimension
     for name, g in _input_graphs(args):
-        bounds = lower_bounds(g)
-        solve = metric_dimension if args.mode == "full" else local_metric_dimension
         result = solve(g)
+        bounds = result.bounds
         line = (
-            f"id={name} n={g.n} m={g.m} omega={clique_number(g)}"
-            f" twin_classes={twin_partition(g).class_count}"
+            f"id={name} n={g.n} m={g.m} omega={bounds.omega}"
+            f" twin_classes={g.n - bounds.twin}"
             f" lb_twin={bounds.twin} lb_log={bounds.log_clique} lb_gap={bounds.gap}"
             f" mode={args.mode} value={result.value}"
         )

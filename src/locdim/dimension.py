@@ -32,13 +32,15 @@ class LowerBounds:
     """Search floors for the local dimension of a connected graph.
 
     twin: n minus the number of true-twin classes.
-    log_clique: ceil(log2 of the clique number).
-    gap_raw: n - 2**(n - clique number); may be negative, clamp before use.
+    log_clique: ceil(log2 omega).
+    gap_raw: n - 2**(n - omega); may be negative, clamp before use.
+    omega: the clique number the last two come from.
     """
 
     twin: int
     log_clique: int
     gap_raw: int
+    omega: int
 
     @property
     def gap(self) -> int:
@@ -86,6 +88,7 @@ def lower_bounds(g: Graph) -> LowerBounds:
         twin=g.n - twin_partition(g).class_count,
         log_clique=(omega - 1).bit_length(),
         gap_raw=g.n - (1 << (g.n - omega)),
+        omega=omega,
     )
 
 

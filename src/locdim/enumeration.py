@@ -27,11 +27,10 @@ from .graphs import (
     GRAPH6_HEADER,
     Graph,
     Graph6Error,
-    bit_indices,
     from_graph6,
     graph_from_triangle_bits,
+    is_connected,
     to_graph6,
-    triangle_bits,
     twin_masks,
 )
 
@@ -116,28 +115,11 @@ def connected_class_bits_by_filter(n: int) -> frozenset[int]:
     Exponential in n**2, meant for n <= 6."""
     if not 1 <= n <= 6:
         raise ValueError(f"filter recount supports 1 <= n <= 6, got {n}")
-    m = n * (n - 1) // 2
-    full = (1 << n) - 1
     keys: set[int] = set()
-    for bits in range(1 << m):
-        rows = [0] * n
-        pos = m
-        for j in range(1, n):
-            for i in range(j):
-                pos -= 1
-                if (bits >> pos) & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in bit_indices(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        if seen == full:
-            keys.add(kernels.canonical_bits(n, rows))
+    for bits in range(1 << (n * (n - 1) // 2)):
+        g = graph_from_triangle_bits(n, bits)
+        if is_connected(g):
+            keys.add(kernels.canonical_bits(n, g.adj))
     return frozenset(keys)
 
 
@@ -154,13 +136,12 @@ class Corpus:
     errors: tuple[str, ...]
 
 
-def read_corpus(path: str | Path, strict: bool = False) -> Corpus:
-    """Read a graph6 file, one graph per line. Blank lines and bare format
-    headers are skipped; malformed lines are collected (or raised when
-    strict) with their line numbers."""
+def parse_corpus(text: str, strict: bool = False) -> Corpus:
+    """Decode graph6 text, one graph per line. Blank lines and bare format
+    headers are skipped, as is a header prefixing a line; malformed lines
+    are collected (or raised when strict) with their line numbers."""
     graphs: list[Graph] = []
     errors: list[str] = []
-    text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped == GRAPH6_HEADER:
@@ -172,3 +153,8 @@ def read_corpus(path: str | Path, strict: bool = False) -> Corpus:
                 raise Graph6Error(f"line {lineno}: {exc}") from exc
             errors.append(f"line {lineno}: {exc}")
     return Corpus(tuple(graphs), tuple(errors))
+
+
+def read_corpus(path: str | Path, strict: bool = False) -> Corpus:
+    """parse_corpus over the text of a graph6 file."""
+    return parse_corpus(Path(path).read_text(), strict)

@@ -99,6 +99,9 @@ class Graph:
         order (entries must be distinct)."""
         if len(set(keep)) != len(keep):
             raise ValueError("induced vertex list has repeats")
+        for v in keep:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range for n={self.n}")
         pos = {v: i for i, v in enumerate(keep)}
         edges = []
         for u, v in self.edges():

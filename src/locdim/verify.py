@@ -20,7 +20,6 @@ from .dimension import local_metric_dimension
 from .enumeration import canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
 from .graphs import Graph, bit_indices, is_bipartite, is_triangle_free, to_graph6
-from .invariants import max_clique, twin_partition
 from .pattern import is_gamma_free
 
 
@@ -59,18 +58,23 @@ class GraphFacts:
         self.g = g
         self.n = g.n
         self.m = g.m
-        self.omega, self.clique = max_clique(g)
-        self.twins = twin_partition(g)
         self.local = local_metric_dimension(g)
         self.dim_local = self.local.value
-        self.bipartite = is_bipartite(g)
-        self.triangle_free = is_triangle_free(g)
+        self.omega = self.local.bounds.omega
 
     @functools.cached_property
     def graph_id(self) -> str:
         if self.n <= 8:
             return canonical_graph6(self.g)
         return to_graph6(self.g)
+
+    @functools.cached_property
+    def bipartite(self) -> bool:
+        return is_bipartite(self.g)
+
+    @functools.cached_property
+    def triangle_free(self) -> bool:
+        return is_triangle_free(self.g)
 
     @functools.cached_property
     def is_complete(self) -> bool:
@@ -91,6 +95,22 @@ class GraphFacts:
         blocks of size at least 2."""
         params = complete_minus_bipartite_params(self.g)
         return params is not None and params[1] >= 2
+
+    @functools.cached_property
+    def classified_n_minus_3(self) -> bool:
+        """Predicted member of the dim_local = n-3 class: a gamma-free graph
+        with clique number n-2, the 5-cycle, or a clique-minus-biclique
+        member with both blocks of size at least 2."""
+        case_i = self.omega == self.n - 2 and self.gamma_free
+        return case_i or self.is_cycle5 or self.is_split_extremal
+
+
+def _clique_ratio(f: GraphFacts) -> tuple[bool, str]:
+    """dim_local*(omega-1) <= (omega-2)*n in exact integers, with its
+    details; callers apply their own premise."""
+    lhs = f.dim_local * (f.omega - 1)
+    rhs = (f.omega - 2) * f.n
+    return lhs <= rhs, f"dim_local*(omega-1)={lhs} (omega-2)*n={rhs}"
 
 
 @dataclass(frozen=True)
@@ -131,14 +151,14 @@ def _c3(f: GraphFacts) -> tuple[bool, bool, str]:
 
 
 def _c4(f: GraphFacts) -> tuple[bool, bool, str]:
-    log_floor = (f.omega - 1).bit_length()
-    gap_floor = f.n - (1 << (f.n - f.omega))
+    log_floor = f.local.bounds.log_clique
+    gap_floor = f.local.bounds.gap_raw
     ok = f.dim_local >= log_floor and f.dim_local >= gap_floor
     return True, ok, f"dim_local={f.dim_local} log_floor={log_floor} gap_floor={gap_floor}"
 
 
 def _c5(f: GraphFacts) -> tuple[bool, bool, str]:
-    floor = f.n - f.twins.class_count
+    floor = f.local.bounds.twin
     ok = f.dim_local >= floor
     return True, ok, f"dim_local={f.dim_local} twin_floor={floor}"
 
@@ -176,8 +196,7 @@ def _c8(f: GraphFacts) -> tuple[bool, bool, str]:
 def _c9(f: GraphFacts) -> tuple[bool, bool, str]:
     if f.n < 5:
         return False, True, _NOT_APPLICABLE
-    case_i = f.omega == f.n - 2 and f.gamma_free
-    member = case_i or f.is_cycle5 or f.is_split_extremal
+    member = f.classified_n_minus_3
     ok = (f.dim_local == f.n - 3) == member
     return True, ok, f"dim_local={f.dim_local} n-3={f.n - 3} classified={member}"
 
@@ -195,9 +214,7 @@ def _c10(f: GraphFacts) -> tuple[bool, bool, str]:
 def _c11(f: GraphFacts) -> tuple[bool, bool, str]:
     if f.omega < max(f.n - 3, 3) or f.omega > f.n - 1:
         return False, True, _NOT_APPLICABLE
-    lhs = f.dim_local * (f.omega - 1)
-    rhs = (f.omega - 2) * f.n
-    return True, lhs <= rhs, f"dim_local*(omega-1)={lhs} (omega-2)*n={rhs}"
+    return (True, *_clique_ratio(f))
 
 
 @dataclass(frozen=True)
@@ -486,12 +503,9 @@ def scan_clique_ratio(
         if wanted is not None and facts.omega not in wanted:
             continue
         applicable += 1
-        lhs = facts.dim_local * (facts.omega - 1)
-        rhs = (facts.omega - 2) * g.n
-        if lhs > rhs:
-            violations.append(
-                (facts.graph_id, f"dim_local*(omega-1)={lhs} (omega-2)*n={rhs}")
-            )
+        holds, details = _clique_ratio(facts)
+        if not holds:
+            violations.append((facts.graph_id, details))
     return ScanReport(total, applicable, tuple(sorted(violations)))
 
 
@@ -533,8 +547,6 @@ def dimension_class_audit(n: int) -> AuditReport:
         facts = GraphFacts(g)
         if facts.dim_local == n - 3:
             observed.append(facts.graph_id)
-        if facts.is_cycle5 or facts.is_split_extremal or (
-            facts.omega == n - 2 and facts.gamma_free
-        ):
+        if facts.classified_n_minus_3:
             predicted.append(facts.graph_id)
     return AuditReport(n, tuple(sorted(observed)), tuple(sorted(predicted)))

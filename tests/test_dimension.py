@@ -118,8 +118,8 @@ class TestBounds:
         assert b.best == 1
 
     def test_gap_clamps(self):
-        assert LowerBounds(0, 0, -17).gap == 0
-        assert LowerBounds(2, 3, -1).best == 3
+        assert LowerBounds(0, 0, -17, 1).gap == 0
+        assert LowerBounds(2, 3, -1, 5).best == 3
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):

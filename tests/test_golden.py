@@ -1,0 +1,59 @@
+"""Golden CLI outputs over the order-7 stream.
+
+The digests pin the exact stdout of `verify --format records`, `dim` in
+both modes and `scan`, so refactors of the solver, the checks or the input
+parsing must keep every byte (ids, floors, witnesses, verdicts) the same.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from locdim.cli import main
+from locdim.enumeration import connected_graphs
+from locdim.graphs import GRAPH6_HEADER, to_graph6
+
+
+def stdout_sha256(capsys, *argv: str) -> str:
+    capsys.readouterr()
+    assert main(list(argv)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def order_seven_file(tmp_path_factory):
+    """Every order-7 class, one per line; every fifth line carries the
+    graph6 header prefix, which must not show up in the printed ids."""
+    lines = []
+    for i, g in enumerate(connected_graphs(7)):
+        text = to_graph6(g)
+        lines.append(GRAPH6_HEADER + text if i % 5 == 4 else text)
+    path = tmp_path_factory.mktemp("golden") / "order7.g6"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_verify_records_gen_seven(capsys):
+    assert stdout_sha256(capsys, "verify", "--gen", "7", "--format", "records") == (
+        "01d79503ff8a0f4747602e7b9c5c08835e82f02f9b96de87babb5a7e61d3d10b"
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        ("local", "225edbd45b5e13475c6e17a5c5bc384e1cd0fe1a0cf9f6dd98d7b3fd66c3593c"),
+        ("full", "f04399788a3f6311fe1b84d786d7a6ba73c306663dde2600772d862dfc450584"),
+    ],
+)
+def test_dim_witness_order_seven(capsys, order_seven_file, mode, digest):
+    argv = ("dim", "--input", order_seven_file, "--witness", "--mode", mode)
+    assert stdout_sha256(capsys, *argv) == digest
+
+
+def test_scan_gen_seven(capsys):
+    assert stdout_sha256(capsys, "scan", "--gen", "7") == (
+        "0e8c4b94fde725945a0b1264fc98ba346683d6124328692340210ae3ed5b3839"
+    )

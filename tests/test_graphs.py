@@ -131,6 +131,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="repeats"):
             g.induced([0, 0])
 
+    @pytest.mark.parametrize("bad", [99, -1, 3])
+    def test_induced_rejects_out_of_range(self, bad):
+        g = build(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=3"):
+            g.induced([0, bad])
+
     def test_complement_of_complete_is_empty(self):
         g = build(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
         assert g.complement().m == 0
