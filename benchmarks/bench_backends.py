@@ -12,7 +12,7 @@ import argparse
 import random
 import time
 
-from locdim import _pure
+from locdim import _pure, enumeration, kernels
 from locdim.dimension import distinguisher_sets, lower_bounds
 from locdim.enumeration import connected_graphs
 from locdim.families import (
@@ -99,6 +99,17 @@ def build_workloads():
         for adj in order7_relabelings:
             impl.canonical_bits(7, adj)
 
+    def generation(impl):
+        # orderly generation from a cold memo: every class of orders 1-6 as
+        # parents, then the connected classes of order 7
+        enumeration._CLASS_BITS.clear()
+        saved = kernels.canonical_bits
+        kernels.canonical_bits = impl.canonical_bits
+        try:
+            list(connected_graphs(7))
+        finally:
+            kernels.canonical_bits = saved
+
     def clique(impl):
         for adj in cliques:
             impl.max_clique(55, adj)
@@ -122,6 +133,7 @@ def build_workloads():
             f"canonical labeling, {len(order7_relabelings)} relabeled order-7 classes",
             canonical7,
         ),
+        ("class generation, orders 1-7 from a cold cache", generation),
         ("maximum clique, 6 dense 55-vertex graphs", clique),
         ("minimum hitting set, 8 dimension systems", hitting),
         ("minimum hitting set, dense G(n,p) systems", hitting_dense),

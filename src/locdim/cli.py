@@ -35,9 +35,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _gen_order(text: str) -> int:
     n = int(text)
-    if not 3 <= n <= 7:
+    if not 3 <= n <= 8:
         raise argparse.ArgumentTypeError(
-            f"exhaustive streams stop at order 7 (853 graphs); 3..7 allowed, got {n}"
+            f"exhaustive streams stop at order 8 (11117 graphs); 3..8 allowed, got {n}"
         )
     return n
 
@@ -179,7 +179,7 @@ def _cmd_refute(args) -> int:
 def _add_source_flags(sub, with_strict: bool = True) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--gen", type=_gen_order, metavar="N",
-                       help="stream every connected graph of order N (3..7)")
+                       help="stream every connected graph of order N (3..8)")
     group.add_argument("--corpus", metavar="PATH",
                        help="graph6 file, one graph per line")
     if with_strict:

@@ -160,10 +160,12 @@ def is_resolving(
     return True
 
 
-def _solve(g: Graph, mode: str) -> DimResult:
+def _solve(g: Graph, mode: str, bounds: LowerBounds) -> DimResult:
+    """The dimension in `mode`, searched from the floors lower_bounds(g)
+    returned; callers that need the clique number before deciding to solve
+    hand those bounds in, so it is computed once."""
     dm = bfs_distances(g)
     system = distinguisher_sets(g, dm, mode)
-    bounds = lower_bounds(g)
     # the floors hold for the local mode and the full mode dominates it
     size, mask = kernels.min_hitting_set(g.n, system.masks(), bounds.best)
     for c in system.constraints:
@@ -174,9 +176,9 @@ def _solve(g: Graph, mode: str) -> DimResult:
 
 def local_metric_dimension(g: Graph) -> DimResult:
     """Exact local metric dimension of a connected graph (0 for n = 1)."""
-    return _solve(g, "local")
+    return _solve(g, "local", lower_bounds(g))
 
 
 def metric_dimension(g: Graph) -> DimResult:
     """Exact metric dimension of a connected graph."""
-    return _solve(g, "full")
+    return _solve(g, "full", lower_bounds(g))

@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .dimension import local_metric_dimension
+from .dimension import _solve, local_metric_dimension, lower_bounds
 from .enumeration import canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
 from .graphs import Graph, bit_indices, is_bipartite, is_triangle_free, to_graph6
@@ -51,6 +51,13 @@ def complete_minus_bipartite_params(g: Graph) -> tuple[int, int] | None:
     return lam, mu
 
 
+def _graph_id(g: Graph) -> str:
+    """Canonical graph6 where canonical labeling reaches, else the input's."""
+    if g.n <= 8:
+        return canonical_graph6(g)
+    return to_graph6(g)
+
+
 class GraphFacts:
     """Everything the checks consult, computed once per graph."""
 
@@ -64,9 +71,7 @@ class GraphFacts:
 
     @functools.cached_property
     def graph_id(self) -> str:
-        if self.n <= 8:
-            return canonical_graph6(self.g)
-        return to_graph6(self.g)
+        return _graph_id(self.g)
 
     @functools.cached_property
     def bipartite(self) -> bool:
@@ -105,11 +110,11 @@ class GraphFacts:
         return case_i or self.is_cycle5 or self.is_split_extremal
 
 
-def _clique_ratio(f: GraphFacts) -> tuple[bool, str]:
+def _clique_ratio(dim_local: int, omega: int, n: int) -> tuple[bool, str]:
     """dim_local*(omega-1) <= (omega-2)*n in exact integers, with its
     details; callers apply their own premise."""
-    lhs = f.dim_local * (f.omega - 1)
-    rhs = (f.omega - 2) * f.n
+    lhs = dim_local * (omega - 1)
+    rhs = (omega - 2) * n
     return lhs <= rhs, f"dim_local*(omega-1)={lhs} (omega-2)*n={rhs}"
 
 
@@ -214,7 +219,7 @@ def _c10(f: GraphFacts) -> tuple[bool, bool, str]:
 def _c11(f: GraphFacts) -> tuple[bool, bool, str]:
     if f.omega < max(f.n - 3, 3) or f.omega > f.n - 1:
         return False, True, _NOT_APPLICABLE
-    return (True, *_clique_ratio(f))
+    return (True, *_clique_ratio(f.dim_local, f.omega, f.n))
 
 
 @dataclass(frozen=True)
@@ -490,22 +495,25 @@ def scan_clique_ratio(
 ) -> ScanReport:
     """Exact-integer scan of dim_local*(omega-1) <= (omega-2)*n over graphs
     meeting the n >= omega+1 >= 4 gate; omega_values optionally narrows the
-    clique numbers scanned."""
+    clique numbers scanned. The gate reads omega from lower_bounds, and only
+    graphs that pass it are solved, from those same bounds."""
     wanted = None if omega_values is None else set(omega_values)
     total = 0
     applicable = 0
     violations = []
     for g in graphs:
         total += 1
-        facts = GraphFacts(g)
-        if facts.omega < 3 or g.n < facts.omega + 1:
+        bounds = lower_bounds(g)
+        omega = bounds.omega
+        if omega < 3 or g.n < omega + 1:
             continue
-        if wanted is not None and facts.omega not in wanted:
+        if wanted is not None and omega not in wanted:
             continue
         applicable += 1
-        holds, details = _clique_ratio(facts)
+        dim_local = _solve(g, "local", bounds).value
+        holds, details = _clique_ratio(dim_local, omega, g.n)
         if not holds:
-            violations.append((facts.graph_id, details))
+            violations.append((_graph_id(g), details))
     return ScanReport(total, applicable, tuple(sorted(violations)))
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from locdim.cli import _default_jobs, main
+from locdim.cli import _default_jobs, _gen_order, main
 from locdim.enumeration import connected_graphs
 from locdim.graphs import to_graph6
 
@@ -234,7 +234,10 @@ class TestUsageErrors:
         with pytest.raises(SystemExit):
             main(["verify", "--gen", "9"])
         err = capsys.readouterr().err
-        assert "3..7 allowed" in err
+        assert "3..8 allowed" in err
+
+    def test_gen_reaches_order_eight(self):
+        assert _gen_order("8") == 8
 
 
 class TestJobsDefault:

@@ -1,19 +1,23 @@
 """Canonical forms and the exhaustive connected-graph streams.
 
-The stream counts are cross-checked two ways: against the published
-sequence of connected graph classes per order, and against an independent
-recount that canonicalizes every labeled connected graph directly.
+The stream counts are cross-checked against the published sequences of
+graph classes per order (all graphs and connected graphs), against an
+independent recount that canonicalizes every labeled connected graph
+directly, against the networkx graph atlas, and at order 8 against the
+committed class corpus of the benchmark.
 """
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import complete_multipartite, naive_canonical_bits, twin_rich_graphs
 
-from locdim import _pure
+import locdim.kernels
+from locdim import _pure, enumeration
 from locdim.enumeration import (
     CANONICAL_MAX_VERTICES,
     CONNECTED_CLASS_COUNTS,
@@ -31,11 +35,15 @@ from locdim.families import complete, cycle, path
 from locdim.graphs import (
     Graph6Error,
     build,
+    from_graph6,
     graph_from_triangle_bits,
     is_connected,
     to_graph6,
     triangle_bits,
 )
+
+# classes of all graphs per order, connected or not (OEIS A000088)
+GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
 class TestCanonical:
@@ -152,7 +160,14 @@ class TestStreams:
         stream = {triangle_bits(g.n, g.adj) for g in connected_graphs(6)}
         assert stream == connected_class_bits_by_filter(6)
 
-    @pytest.mark.parametrize("n", [0, 8])
+    def test_order_eight_matches_the_class_corpus(self):
+        corpus = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "order8.g6"
+        expected = {from_graph6(line).adj for line in corpus.read_text().split()}
+        stream = [g.adj for g in connected_graphs(8)]
+        assert len(stream) == CONNECTED_CLASS_COUNTS[8]
+        assert set(stream) == expected
+
+    @pytest.mark.parametrize("n", [0, 9])
     def test_stream_domain(self, n):
         with pytest.raises(ValueError):
             list(connected_graphs(n))
@@ -160,6 +175,81 @@ class TestStreams:
     def test_recount_domain(self):
         with pytest.raises(ValueError):
             connected_class_count_by_filter(7)
+
+
+class TestOrderlyGeneration:
+    """The generator's every-class sets behind the connected streams."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_all_graph_counts(self, n):
+        assert len(enumeration._class_bits(n, False)) == GRAPH_CLASS_COUNTS[n]
+
+    def test_all_graphs_match_the_networkx_atlas(self):
+        nx = pytest.importorskip("networkx")
+        atlas: dict[int, set[int]] = {n: set() for n in range(1, 8)}
+        for h in nx.graph_atlas_g()[1:]:
+            n = h.number_of_nodes()
+            adj = [0] * n
+            for u, v in h.edges():
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            atlas[n].add(_pure.canonical_bits(n, adj))
+        for n in range(1, 8):
+            assert enumeration._class_bits(n, False) == atlas[n]
+
+    @pytest.mark.parametrize("connected_only", [False, True])
+    def test_no_class_accepted_twice(self, connected_only):
+        for k in range(1, 7):
+            children = enumeration._orderly_children(
+                k, enumeration._class_bits(k, False), connected_only
+            )
+            accepted = [bits for bits, _ in children]
+            assert len(accepted) == len(set(accepted))
+
+    def test_prefilters_only_reject_non_canonical_children(self):
+        rejected = 0
+        for k in range(1, 6):
+            for pbits in enumeration._class_bits(k, False):
+                adj = graph_from_triangle_bits(k, pbits).adj
+                kept = set(enumeration._admissible_columns(pbits, adj))
+                for column in range(1 << k):
+                    if column in kept:
+                        continue
+                    rejected += 1
+                    rows = list(adj) + [0]
+                    for v in range(k):
+                        if (column >> (k - 1 - v)) & 1:
+                            rows[v] |= 1 << k
+                            rows[k] |= 1 << v
+                    bits = (pbits << k) | column
+                    assert _pure.canonical_bits(k + 1, rows) < bits
+        assert rejected > 0
+
+    def test_canonical_key_answers_stream_graphs_from_the_generator(self, monkeypatch):
+        stream = list(connected_graphs(6))
+        calls = []
+        kernel = locdim.kernels.canonical_bits
+        monkeypatch.setattr(
+            locdim.kernels, "canonical_bits", lambda n, adj: calls.append(n) or kernel(n, adj)
+        )
+        for g in stream:
+            assert canonical_key(g) == CanonicalKey(6, triangle_bits(6, g.adj))
+        assert calls == []
+        rng = random.Random(5)
+        for g in stream:
+            perm = list(range(6))
+            rng.shuffle(perm)
+            assert canonical_key(g.relabel(perm)) == canonical_key(g)
+
+    def test_ungenerated_order_skips_the_lookup(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_CLASS_BITS", {})
+
+        def no_lookup(n, adj):
+            raise AssertionError("triangle_bits called for an order never generated")
+
+        monkeypatch.setattr(enumeration, "triangle_bits", no_lookup)
+        g = cycle(5).relabel([2, 4, 1, 3, 0])
+        assert canonical_key(g).bits == naive_canonical_bits(5, g.adj)
 
 
 class TestCorpus:

@@ -12,7 +12,7 @@ from locdim import invariants
 from locdim.cli import main
 from locdim.enumeration import connected_graphs
 from locdim.graphs import to_graph6
-from locdim.verify import check_graph
+from locdim.verify import check_graph, scan_clique_ratio
 
 
 @pytest.fixture
@@ -54,3 +54,9 @@ def test_dim_computes_each_once_per_line(counts, capsys, tmp_path, mode):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 21
     assert counts == {"max_clique": 21, "twin_partition": 21}
+
+
+def test_scan_computes_each_once(counts):
+    graphs = list(connected_graphs(5))
+    assert scan_clique_ratio(graphs).total == len(graphs)
+    assert counts == {"max_clique": len(graphs), "twin_partition": len(graphs)}

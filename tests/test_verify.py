@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import locdim.kernels
 from locdim.enumeration import canonical_key, connected_graphs
 from locdim.families import (
     complete,
@@ -242,6 +243,19 @@ class TestScan:
     def test_omega_filter(self):
         report = scan_clique_ratio([gamma1(), gamma2()], omega_values=[5])
         assert report.applicable == 0
+
+    def test_solves_only_graphs_past_the_gate(self, monkeypatch):
+        solved = []
+        kernel = locdim.kernels.min_hitting_set
+        monkeypatch.setattr(
+            locdim.kernels,
+            "min_hitting_set",
+            lambda n, masks, lower: solved.append(n) or kernel(n, masks, lower),
+        )
+        report = scan_clique_ratio(connected_graphs(6), omega_values=[6])
+        assert (report.total, report.applicable, solved) == (112, 0, [])
+        report = scan_clique_ratio([complete(4), cycle(4), gamma1()])
+        assert (report.applicable, solved) == (1, [gamma1().n])
 
     def test_gen5_is_clean(self):
         report = scan_clique_ratio(connected_graphs(5))
