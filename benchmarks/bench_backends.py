@@ -101,14 +101,19 @@ def build_workloads():
 
     def generation(impl):
         # orderly generation from a cold memo: every class of orders 1-6 as
-        # parents, then the connected classes of order 7
+        # parents, then the connected classes of order 7. The generator
+        # calls kernels.is_canonical; the compiled backend has none, so it
+        # gets the same equality fallback kernels uses
         enumeration._CLASS_BITS.clear()
-        saved = kernels.canonical_bits
+        saved = kernels.canonical_bits, kernels.is_canonical
         kernels.canonical_bits = impl.canonical_bits
+        kernels.is_canonical = getattr(impl, "is_canonical", None) or (
+            lambda n, adj, own: impl.canonical_bits(n, adj) == own
+        )
         try:
             list(connected_graphs(7))
         finally:
-            kernels.canonical_bits = saved
+            kernels.canonical_bits, kernels.is_canonical = saved
 
     def clique(impl):
         for adj in cliques:

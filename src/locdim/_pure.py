@@ -1,11 +1,12 @@
 """Pure-Python search kernels.
 
-Reference implementations of the four kernels the package runs hot: maximum
-clique, minimum hitting set, canonical labeling, and induced-subgraph
-embedding. The compiled twin (locdim._speedups) implements the same
-functions with identical outputs; locdim.kernels picks a backend at import
-time. Graphs arrive as adjacency rows packed into ints, bit v of adj[u] set
-iff uv is an edge.
+Reference implementations of the five kernels the package runs hot: maximum
+clique, minimum hitting set, canonical labeling, the early-exit canonicity
+test of orderly generation, and induced-subgraph embedding. The compiled
+twin (locdim._speedups) implements all but the canonicity test with
+identical outputs; locdim.kernels picks a backend at import time. Graphs
+arrive as adjacency rows packed into ints, bit v of adj[u] set iff uv is an
+edge.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ from collections.abc import Sequence
 
 from .graphs import bit_indices, twin_masks
 
-__all__ = ["max_clique", "min_hitting_set", "canonical_bits", "induced_embedding"]
+__all__ = [
+    "max_clique",
+    "min_hitting_set",
+    "canonical_bits",
+    "is_canonical",
+    "induced_embedding",
+]
 
 
 def _clique_expand(adj: Sequence[int], size: int, cand: int, best: int) -> int:
@@ -218,6 +225,74 @@ def min_hitting_set(
     return k, witness
 
 
+def _least_string(n: int, adj: Sequence[int], own: int) -> int:
+    """The cell-partition DFS behind canonical_bits and is_canonical.
+
+    With own < 0 it returns the least string. With a target own >= 0 (a
+    string of some labeling of the graph) the prefix cut starts at own, so
+    branches above own's prefix are never entered, and the search returns
+    as soon as a prefix falls below own's prefix of the same length: every
+    completion of that partial labeling is smaller than own. It then
+    returns that prefix padded with zeros, a value below own; when no
+    prefix falls below, it returns own.
+    """
+    if n <= 1:
+        return 0
+    m = n * (n - 1) // 2
+    # shifts[t]: the bits after the prefix of columns 0..t
+    shifts = [m - t * (t + 1) // 2 for t in range(n)]
+    twins = twin_masks(adj)
+    order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
+    target = own >= 0
+    best = own
+
+    # cells: the unplaced vertices grouped by adjacency column against the
+    # placed ones (first placed vertex most significant), as (column, mask)
+    # pairs in ascending column order; the first cell holds the tied
+    # minimum. Returns True when a target search has found a smaller string.
+    def rec(t: int, prefix: int, cells: list[tuple[int, int]]) -> bool:
+        nonlocal best
+        min_col, tied = cells[0]
+        prefix = (prefix << t) | min_col
+        if t == n - 1:
+            if best < 0 or prefix < best:
+                best = prefix
+                return target
+            return False
+        if best >= 0:
+            shift = shifts[t]
+            bound = best >> shift
+            if prefix > bound:
+                return False
+            if target and prefix < bound:
+                best = prefix << shift
+                return True
+        taken = 0
+        for v in order:
+            if not (tied >> v) & 1 or twins[v] & taken:
+                continue
+            taken |= 1 << v
+            row = adj[v]
+            off = ~(row | (1 << v))
+            # placing v appends one bit to every column: each cell splits
+            # into v's non-neighbors, then v's neighbors, keeping the order
+            # (row has no bit v, so v leaves the cells with the first part)
+            split = []
+            for col, mask in cells:
+                part = mask & off
+                if part:
+                    split.append((col << 1, part))
+                part = mask & row
+                if part:
+                    split.append(((col << 1) | 1, part))
+            if rec(t + 1, prefix, split):
+                return True
+        return False
+
+    rec(0, 0, [(0, (1 << n) - 1)])
+    return best
+
+
 def canonical_bits(n: int, adj: Sequence[int]) -> int:
     """Minimum upper-triangle bit string over all vertex relabelings.
 
@@ -243,46 +318,17 @@ def canonical_bits(n: int, adj: Sequence[int]) -> int:
     """
     if n > 11:
         raise ValueError(f"canonical_bits supports n <= 11, got {n}")
-    if n <= 1:
-        return 0
-    m = n * (n - 1) // 2
-    twins = twin_masks(adj)
-    order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
-    best = -1
+    return _least_string(n, adj, -1)
 
-    # cells: the unplaced vertices grouped by adjacency column against the
-    # placed ones (first placed vertex most significant), as (column, mask)
-    # pairs in ascending column order; the first cell holds the tied minimum
-    def rec(t: int, prefix: int, cells: list[tuple[int, int]]) -> None:
-        nonlocal best
-        min_col, tied = cells[0]
-        prefix = (prefix << t) | min_col
-        if t == n - 1:
-            if best < 0 or prefix < best:
-                best = prefix
-            return
-        if best >= 0 and prefix > (best >> (m - t * (t + 1) // 2)):
-            return
-        taken = 0
-        for v in order:
-            if not (tied >> v) & 1 or twins[v] & taken:
-                continue
-            taken |= 1 << v
-            row = adj[v]
-            bit = 1 << v
-            # placing v appends one bit to every column: each cell splits
-            # into v's non-neighbors, then v's neighbors, keeping the order
-            split = []
-            for col, mask in cells:
-                mask &= ~bit
-                if mask & ~row:
-                    split.append((col << 1, mask & ~row))
-                if mask & row:
-                    split.append(((col << 1) | 1, mask & row))
-            rec(t + 1, prefix, split)
 
-    rec(0, 0, [(0, (1 << n) - 1)])
-    return best
+def is_canonical(n: int, adj: Sequence[int], own: int) -> bool:
+    """canonical_bits(n, adj) == own, for `own` the string of some labeling
+    of the graph (its own triangle bits, say), by the same DFS with an early
+    exit: the search stops at the first partial labeling whose prefix is
+    below own's and never enters a branch whose prefix is above it."""
+    if n > 11:
+        raise ValueError(f"is_canonical supports n <= 11, got {n}")
+    return _least_string(n, adj, own) == own
 
 
 def induced_embedding(
@@ -294,10 +340,22 @@ def induced_embedding(
     """Search for an induced copy of the pattern inside the host.
 
     Pattern vertices are assigned in degree-descending order (ties by
-    index); host candidates are tried ascending, so the first embedding
-    found is deterministic. Every assigned pair must agree on adjacency and
+    index); host candidates are tried ascending, among the host vertices of
+    at least the pattern vertex's degree, so the first embedding found is
+    deterministic. Every assigned pair must agree on adjacency and
     non-adjacency. Returns the mapping pattern vertex -> host vertex, or
     None.
+
+    Forward checking (Haralick and Elliott, 1980): every unassigned pattern
+    vertex carries a mask of the host vertices still consistent with the
+    assigned ones. Assigning p -> h narrows each later q's mask to h's
+    neighbors when pq is an edge, and to h's non-neighbors other than h
+    when it is not, so a candidate read off the mask is unused and agrees
+    with every assigned pair. A candidate that empties some later mask is
+    skipped: its subtree holds no embedding. The candidates tried and their
+    order are otherwise those of the plain backtracking, so the first
+    embedding found is the same; the compiled backend keeps that plain
+    search and returns identical mappings.
     """
     if pat_n == 0:
         return ()
@@ -306,28 +364,39 @@ def induced_embedding(
     pat_deg = [pat_adj[v].bit_count() for v in range(pat_n)]
     host_deg = [host_adj[v].bit_count() for v in range(host_n)]
     order = sorted(range(pat_n), key=lambda p: (-pat_deg[p], p))
+    # links[i]: for each later position j, whether order[i] order[j] is an edge
+    links = [
+        [(pat_adj[order[i]] >> order[j]) & 1 for j in range(i + 1, pat_n)]
+        for i in range(pat_n)
+    ]
     assign = [-1] * pat_n
 
-    def rec(pos: int, used: int) -> bool:
+    # masks: the candidate mask of every position from pos on
+    def rec(pos: int, masks: list[int]) -> bool:
         if pos == pat_n:
             return True
-        p = order[pos]
-        prow = pat_adj[p]
-        for h in range(host_n):
-            if (used >> h) & 1 or host_deg[h] < pat_deg[p]:
-                continue
-            hrow = host_adj[h]
-            ok = True
-            for i in range(pos):
-                q = order[i]
-                if ((prow >> q) & 1) != ((hrow >> assign[q]) & 1):
-                    ok = False
+        cand = masks[0]
+        later = masks[1:]
+        link = links[pos]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            h = low.bit_length() - 1
+            row = host_adj[h]
+            off = ~row & ~low
+            narrowed = []
+            for mask, edge in zip(later, link):
+                mask &= row if edge else off
+                if not mask:
                     break
-            if ok:
-                assign[p] = h
-                if rec(pos + 1, used | (1 << h)):
+                narrowed.append(mask)
+            else:
+                if rec(pos + 1, narrowed):
+                    assign[order[pos]] = h
                     return True
-                assign[p] = -1
         return False
 
-    return tuple(assign) if rec(0, 0) else None
+    start = [
+        sum(1 << h for h in range(host_n) if host_deg[h] >= pat_deg[p]) for p in order
+    ]
+    return tuple(assign) if rec(0, start) else None

@@ -160,17 +160,65 @@ def is_resolving(
     return True
 
 
+def _distinguisher_masks(g: Graph, mode: str) -> list[int]:
+    """distinguisher_sets(g, mode=mode).masks() of a connected graph, from
+    distance layers instead of a distance matrix.
+
+    Frontier expansion over adj gives, for every vertex u, the masks L_u[d]
+    of the vertices at distance d from u. A vertex w sees u and v at equal
+    distance iff it lies in L_u[d] & L_v[d] for some d, so the
+    distinguisher mask of (u, v) is the complement of the OR of those
+    intersections. Pairs come in distinguisher_sets' order: u ascending,
+    then v > u ascending, edges only in local mode.
+    """
+    n = g.n
+    adj = g.adj
+    full = (1 << n) - 1
+    layers = []
+    for u in range(n):
+        seen = frontier = 1 << u
+        by_distance = [frontier]
+        while True:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            by_distance.append(frontier)
+        layers.append(by_distance)
+    masks = []
+    for u in range(n - 1):
+        lu = layers[u]
+        partners = adj[u] if mode == "local" else full
+        partners >>= u + 1
+        v = u
+        while partners:
+            step = (partners & -partners).bit_length()
+            partners >>= step
+            v += step
+            same = 0
+            for a, b in zip(lu, layers[v]):
+                same |= a & b
+            masks.append(full & ~same)
+    return masks
+
+
 def _solve(g: Graph, mode: str, bounds: LowerBounds) -> DimResult:
     """The dimension in `mode`, searched from the floors lower_bounds(g)
     returned; callers that need the clique number before deciding to solve
-    hand those bounds in, so it is computed once."""
-    dm = bfs_distances(g)
-    system = distinguisher_sets(g, dm, mode)
+    hand those bounds in, so it is computed once. lower_bounds has already
+    rejected a disconnected graph."""
+    masks = _distinguisher_masks(g, mode)
     # the floors hold for the local mode and the full mode dominates it
-    size, mask = kernels.min_hitting_set(g.n, system.masks(), bounds.best)
-    for c in system.constraints:
-        if not c.mask & mask:
-            raise AssertionError(f"solver returned a non-hitting set for pair {c.pair}")
+    size, mask = kernels.min_hitting_set(g.n, masks, bounds.best)
+    for i, c in enumerate(masks):
+        if not c & mask:
+            pair = distinguisher_sets(g, mode=mode).constraints[i].pair
+            raise AssertionError(f"solver returned a non-hitting set for pair {pair}")
     return DimResult(size, tuple(bit_indices(mask)), bounds)
 
 

@@ -19,18 +19,24 @@ n-1 vertices with a smaller string, keeping the last vertex last, would
 give the whole graph a smaller string. Every class of order n is therefore
 a canonical graph of order n-1, connected or not, plus one column (the
 star K_{1,n-1} grows from n-1 isolated vertices). The generator appends
-columns to every such parent and keeps a child iff canonical_bits returns
-the child's own bits; distinct children have distinct strings and
+columns to every such parent and keeps a child iff its own bits are its
+class's canonical string; distinct children have distinct strings and
 isomorphic graphs share one canonical string, so each class is accepted
 exactly once. Two cheap necessary conditions skip most non-canonical
 columns before the kernel runs (see _admissible_columns); the twin one
 runs upward, a lower twin in the column forcing the higher one in,
 because that keeps the smaller of two swapped columns.
+
+The acceptance test is kernels.is_canonical(n, rows, own), not a full
+canonical_bits search compared with own. It runs the same DFS over partial
+labelings but stops at the first one whose string prefix is below own's
+prefix of the same length. That already proves the child is not
+canonical: the prefix is fixed by the vertices placed so far, so every
+completion of that partial labeling is a whole string below own.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +50,6 @@ from .graphs import (
     bit_indices,
     from_graph6,
     graph_from_triangle_bits,
-    is_connected,
     to_graph6,
     triangle_bits,
     twin_masks,
@@ -149,7 +154,7 @@ def _orderly_children(
             rows = [row | top if (nbhd >> v) & 1 else row for v, row in enumerate(adj)]
             rows.append(nbhd)
             bits = (pbits << k) | column
-            if kernels.canonical_bits(n, rows) == bits:
+            if kernels.is_canonical(n, rows, bits):
                 accepted.append((bits, connected))
     return accepted
 
@@ -178,26 +183,6 @@ def connected_graphs(n: int) -> Iterator[Graph]:
         raise ValueError(f"connected_graphs supports 1 <= n <= 8, got {n}")
     for bits in sorted(_class_bits(n, True)):
         yield graph_from_triangle_bits(n, bits)
-
-
-@functools.lru_cache(maxsize=None)
-def connected_class_bits_by_filter(n: int) -> frozenset[int]:
-    """Independent recount of the class stream: canonicalize every labeled
-    connected graph on n vertices and return the distinct canonical bits.
-    Exponential in n**2, meant for n <= 6."""
-    if not 1 <= n <= 6:
-        raise ValueError(f"filter recount supports 1 <= n <= 6, got {n}")
-    keys: set[int] = set()
-    for bits in range(1 << (n * (n - 1) // 2)):
-        g = graph_from_triangle_bits(n, bits)
-        if is_connected(g):
-            keys.add(kernels.canonical_bits(n, g.adj))
-    return frozenset(keys)
-
-
-def connected_class_count_by_filter(n: int) -> int:
-    """Number of classes found by connected_class_bits_by_filter."""
-    return len(connected_class_bits_by_filter(n))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .dimension import _solve, local_metric_dimension, lower_bounds
@@ -347,6 +346,10 @@ def run_suite(
     started = time.perf_counter()
     fn = functools.partial(check_graph, checks=ids)
     if jobs > 1 and len(graph_list) > 1:
+        # imported here: concurrent.futures.process pulls in multiprocessing,
+        # which a serial run would pay for on every import of the package
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(graph_list) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(fn, graph_list, chunksize=chunk))

@@ -3,18 +3,29 @@
 Everything here is deliberately simple and independent of the package's
 search kernels: subset enumeration instead of branch and bound, index-order
 assignment instead of ordered backtracking, every permutation instead of a
-pruned canonical search. Slow on purpose; only run at small orders.
+pruned canonical search. Slow on purpose; only run at small orders. The
+one exception is the labeled recount of the class stream, which uses the
+canonical_bits kernel but none of the orderly generator it checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
+from locdim import kernels
 from locdim.dimension import is_local_resolving, is_resolving
 from locdim.enumeration import connected_graphs
 from locdim.families import complete, cycle
-from locdim.graphs import Graph, bfs_distances, build, is_connected, triangle_bits
+from locdim.graphs import (
+    Graph,
+    bfs_distances,
+    build,
+    graph_from_triangle_bits,
+    is_connected,
+    triangle_bits,
+)
 
 
 def naive_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -75,6 +86,37 @@ def naive_induced_exists(host: Graph, pattern: Graph) -> bool:
         return False
 
     return rec(0, 0)
+
+
+def reference_embedding(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
+    """First induced embedding in find_induced's documented order: pattern
+    vertices by degree descending (ties by index), host candidates
+    ascending. Plain backtracking that checks every assigned pair and
+    prunes nothing else. Returns the mapping pattern vertex -> host vertex,
+    or None."""
+    if pattern.n > host.n:
+        return None
+    order = sorted(range(pattern.n), key=lambda p: (-pattern.degree(p), p))
+    assign: dict[int, int] = {}
+
+    def rec(pos: int) -> bool:
+        if pos == pattern.n:
+            return True
+        p = order[pos]
+        for h in range(host.n):
+            if h in assign.values():
+                continue
+            if all(
+                pattern.has_edge(p, q) == host.has_edge(h, assign[q])
+                for q in order[:pos]
+            ):
+                assign[p] = h
+                if rec(pos + 1):
+                    return True
+                del assign[p]
+        return False
+
+    return tuple(assign[p] for p in range(pattern.n)) if rec(0) else None
 
 
 def naive_canonical_bits(n: int, adj) -> int:
@@ -156,3 +198,24 @@ def stream_upto(max_n: int):
     """All connected graph classes with 1 <= n <= max_n, in order."""
     for n in range(1, max_n + 1):
         yield from connected_graphs(n)
+
+
+@functools.lru_cache(maxsize=None)
+def connected_class_bits_by_filter(n: int) -> frozenset[int]:
+    """Independent recount of the class stream: canonicalize every labeled
+    connected graph on n vertices and return the distinct canonical bits.
+    It shares the canonical_bits kernel with the package but none of the
+    orderly generator. Exponential in n**2, meant for n <= 6."""
+    if not 1 <= n <= 6:
+        raise ValueError(f"filter recount supports 1 <= n <= 6, got {n}")
+    keys: set[int] = set()
+    for bits in range(1 << (n * (n - 1) // 2)):
+        g = graph_from_triangle_bits(n, bits)
+        if is_connected(g):
+            keys.add(kernels.canonical_bits(n, g.adj))
+    return frozenset(keys)
+
+
+def connected_class_count_by_filter(n: int) -> int:
+    """Number of classes found by connected_class_bits_by_filter."""
+    return len(connected_class_bits_by_filter(n))

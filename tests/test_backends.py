@@ -16,6 +16,7 @@ import pytest
 from conftest import twin_rich_graphs
 
 from locdim import _pure, kernels
+from locdim.graphs import triangle_bits
 
 compiled = pytest.importorskip("locdim._speedups")
 
@@ -80,6 +81,24 @@ def test_canonical_bits_agreement():
         assert _pure.canonical_bits(n, adj) == compiled.canonical_bits(n, adj)
     for g in twin_rich_graphs():
         assert _pure.canonical_bits(g.n, g.adj) == compiled.canonical_bits(g.n, g.adj)
+
+
+def test_is_canonical_agreement():
+    """The pure early-exit test, and kernels' choice of it, against the
+    compiled full search compared with own."""
+    rng = random.Random(SEED + 4)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        cases.append((n, _random_adj(rng, n, rng.uniform(0.2, 0.8))))
+    cases += [(g.n, list(g.adj)) for g in twin_rich_graphs()]
+    for n, adj in cases:
+        canon = compiled.canonical_bits(n, adj)
+        own = triangle_bits(n, adj)
+        for target in (own, canon):
+            expected = canon == target
+            assert _pure.is_canonical(n, adj, target) == expected
+            assert kernels.is_canonical(n, adj, target) == expected
 
 
 @pytest.mark.parametrize("impl", [_pure, compiled], ids=["pure", "compiled"])

@@ -6,13 +6,14 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import naive_dimension, naive_hitting_set, random_connected
+from conftest import naive_dimension, naive_hitting_set, random_connected, stream_upto
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locdim import _pure
 from locdim.dimension import (
     LowerBounds,
+    _distinguisher_masks,
     distinguisher_sets,
     is_local_resolving,
     is_resolving,
@@ -102,6 +103,28 @@ class TestConstraints:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):
             distinguisher_sets(build(4, [(0, 1), (2, 3)]))
+
+
+class TestDistanceLayerMasks:
+    """The solve's masks from distance layers against the public
+    distance-matrix path."""
+
+    @pytest.mark.parametrize("mode", ["local", "full"])
+    def test_every_class_up_to_order_seven(self, mode):
+        for g in stream_upto(7):
+            assert _distinguisher_masks(g, mode) == list(
+                distinguisher_sets(g, mode=mode).masks()
+            )
+
+    @pytest.mark.parametrize("mode", ["local", "full"])
+    def test_random_graphs_up_to_order_forty(self, mode):
+        rng = random.Random(40)
+        for n in (2, 3, 9, 16, 25, 33, 40):
+            for p in (0.08, 0.2, 0.5, 0.9):
+                g = random_connected(rng, n, p)
+                assert _distinguisher_masks(g, mode) == list(
+                    distinguisher_sets(g, mode=mode).masks()
+                )
 
 
 class TestBounds:

@@ -14,7 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import complete_multipartite, naive_canonical_bits, twin_rich_graphs
+from conftest import (
+    complete_multipartite,
+    connected_class_bits_by_filter,
+    connected_class_count_by_filter,
+    naive_canonical_bits,
+    twin_rich_graphs,
+)
 
 import locdim.kernels
 from locdim import _pure, enumeration
@@ -26,8 +32,6 @@ from locdim.enumeration import (
     canonical_form,
     canonical_graph6,
     canonical_key,
-    connected_class_bits_by_filter,
-    connected_class_count_by_filter,
     connected_graphs,
     read_corpus,
 )
@@ -127,6 +131,55 @@ class TestCanonicalOracle:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             _pure.canonical_bits(12, [0] * 12)
+
+
+class TestIsCanonical:
+    """The early-exit test against the full search it replaces in the
+    generator: is_canonical(n, adj, own) == (canonical_bits(n, adj) == own)
+    for own the graph's own string and for its canonical string."""
+
+    @staticmethod
+    def _agree(n, adj):
+        canon = _pure.canonical_bits(n, adj)
+        own = triangle_bits(n, adj)
+        assert _pure.is_canonical(n, adj, own) == (canon == own)
+        assert _pure.is_canonical(n, adj, canon)
+
+    def test_every_labeled_graph_up_to_order_five(self):
+        accepted = 0
+        for n in range(0, 6):
+            for bits in range(1 << (n * (n - 1) // 2)):
+                adj = graph_from_triangle_bits(n, bits).adj if n else []
+                self._agree(n, adj)
+                accepted += _pure.is_canonical(n, adj, bits)
+        # every class of orders 0..5 (OEIS A000088) is accepted exactly once
+        assert accepted == 1 + sum(GRAPH_CLASS_COUNTS[n] for n in range(1, 6))
+
+    def test_random_orders_six_to_nine(self):
+        rng = random.Random(1978)
+        for n in range(6, 10):
+            for _ in range(60):
+                p = rng.uniform(0.1, 0.9)
+                g = build(
+                    n,
+                    [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
+                )
+                self._agree(n, g.adj)
+                # the canonically labeled copy, which must be accepted
+                canon = graph_from_triangle_bits(n, _pure.canonical_bits(n, g.adj))
+                self._agree(n, canon.adj)
+
+    def test_twin_rich_families(self):
+        rng = random.Random(1980)
+        for g in twin_rich_graphs():
+            self._agree(g.n, g.adj)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            self._agree(g.n, g.relabel(perm).adj)
+
+    def test_order_cap(self):
+        with pytest.raises(ValueError):
+            _pure.is_canonical(12, [0] * 12, 0)
 
 
 class TestStreams:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
-from conftest import naive_induced_exists
+from conftest import naive_induced_exists, reference_embedding, stream_upto
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +92,36 @@ class TestFindInduced:
         assert (found is not None) == naive_induced_exists(host, pat)
         if found is not None:
             assert _is_valid_embedding(host, pat, found)
+
+
+class TestExactMapping:
+    """find_induced returns the first mapping of its documented search
+    order, not merely a valid one: a pruned or reordered search that finds
+    another embedding would break agreement between the backends."""
+
+    PATTERNS = (gamma1(), gamma2(), path(3), path(4), cycle(4), cycle(5))
+
+    def test_every_host_up_to_order_six(self):
+        # a graph or its complement is connected, so these cover every class
+        rng = random.Random(6)
+        for g in stream_upto(6):
+            for host in (g, g.complement()):
+                perm = list(range(host.n))
+                rng.shuffle(perm)
+                for h in (host, host.relabel(perm)):
+                    for pat in self.PATTERNS:
+                        assert find_induced(h, pat) == reference_embedding(h, pat)
+
+    def test_random_hosts_up_to_order_nine(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            p = rng.uniform(0.15, 0.85)
+            host = build(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            for pat in self.PATTERNS:
+                assert find_induced(host, pat) == reference_embedding(host, pat)
 
 
 class TestGammaFree:
