@@ -2,8 +2,12 @@
 
 Runs the same kernel workloads through both backends and prints a small
 table. Inputs are built once, up front, so only kernel time is measured.
+The compiled column needs the extension built in place first; delete the
+built file afterwards, or every later run of the package uses it:
 
-    python benchmarks/bench_backends.py [--repeat N]
+    python setup.py build_ext --inplace
+    PYTHONPATH=src python benchmarks/bench_backends.py [--repeat N]
+    rm src/locdim/_speedups.*.so
 """
 
 from __future__ import annotations
@@ -101,15 +105,11 @@ def build_workloads():
 
     def generation(impl):
         # orderly generation from a cold memo: every class of orders 1-6 as
-        # parents, then the connected classes of order 7. The generator
-        # calls kernels.is_canonical; the compiled backend has none, so it
-        # gets the same equality fallback kernels uses
+        # parents, then the connected classes of order 7
         enumeration._CLASS_BITS.clear()
         saved = kernels.canonical_bits, kernels.is_canonical
         kernels.canonical_bits = impl.canonical_bits
-        kernels.is_canonical = getattr(impl, "is_canonical", None) or (
-            lambda n, adj, own: impl.canonical_bits(n, adj) == own
-        )
+        kernels.is_canonical = impl.is_canonical
         try:
             list(connected_graphs(7))
         finally:

@@ -1,21 +1,9 @@
 from setuptools import Extension, setup
 
-# The compiled kernels are optional: without Cython (or a C compiler) the
-# package installs anyway and falls back to the pure-Python implementations.
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "locdim._speedups",
-                ["src/locdim/_speedups.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level="3",
-    )
-
-setup(ext_modules=ext_modules)
+# The compiled kernels are optional: without a C compiler the package
+# installs anyway and falls back to the pure-Python implementations.
+setup(
+    ext_modules=[
+        Extension("locdim._speedups", ["src/locdim/_speedups.c"], optional=True)
+    ]
+)

@@ -34,7 +34,7 @@ from .graphs import (
     is_triangle_free,
     to_graph6,
 )
-from .invariants import TwinPartition, clique_number, max_clique, twin_lower_bound, twin_partition
+from .invariants import TwinPartition, clique_number, max_clique, twin_partition
 from .pattern import find_induced, is_gamma_free
 from .verify import check_graph, run_suite
 
@@ -76,7 +76,6 @@ __all__ = [
     "read_corpus",
     "run_suite",
     "to_graph6",
-    "twin_lower_bound",
     "twin_partition",
     "__version__",
 ]

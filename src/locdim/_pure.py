@@ -3,8 +3,8 @@
 Reference implementations of the five kernels the package runs hot: maximum
 clique, minimum hitting set, canonical labeling, the early-exit canonicity
 test of orderly generation, and induced-subgraph embedding. The compiled
-twin (locdim._speedups) implements all but the canonicity test with
-identical outputs; locdim.kernels picks a backend at import time. Graphs
+twin (locdim._speedups) ports each of them to C with identical outputs;
+locdim.kernels picks a backend at import time. Graphs
 arrive as adjacency rows packed into ints, bit v of adj[u] set iff uv is an
 edge.
 """
@@ -62,6 +62,8 @@ def max_clique(n: int, adj: Sequence[int]) -> tuple[int, int]:
     the smallest when compared as a sorted vertex tuple; it is rebuilt
     greedily with one feasibility probe per vertex once the size is known.
     """
+    if n > 62:
+        raise ValueError(f"vertex count must be at most 62, got {n}")
     if n <= 0:
         return 0, 0
     full = (1 << n) - 1
@@ -132,8 +134,7 @@ def min_hitting_set(
     rebuild restricts the constraints to the allowed elements once, at its
     root. The siblings partition the hitting sets that the overlapping
     search visited, so the value (the unique minimum) and the answer of
-    every probe, hence the witness, are the same as before. The compiled
-    backend keeps the overlapping search and returns identical outputs.
+    every probe, hence the witness, are the same as before.
     """
     if not 0 <= universe <= 62:
         raise ValueError(f"universe size must be in 0..62, got {universe}")
@@ -313,8 +314,7 @@ def canonical_bits(n: int, adj: Sequence[int]) -> int:
     tends to reach a small string early and lets the prefix cut fire sooner.
     Neither change alters the set of strings reachable from the root, and
     the minimum of that set is unique, so the result is the same as the
-    unpruned search; the compiled backend keeps the unpruned DFS and returns
-    identical values.
+    unpruned search.
     """
     if n > 11:
         raise ValueError(f"canonical_bits supports n <= 11, got {n}")
@@ -354,9 +354,12 @@ def induced_embedding(
     with every assigned pair. A candidate that empties some later mask is
     skipped: its subtree holds no embedding. The candidates tried and their
     order are otherwise those of the plain backtracking, so the first
-    embedding found is the same; the compiled backend keeps that plain
-    search and returns identical mappings.
+    embedding found is the same.
     """
+    if host_n > 62:
+        raise ValueError(f"vertex count must be at most 62, got {host_n}")
+    if pat_n < 0:
+        raise ValueError(f"pattern vertex count must be non-negative, got {pat_n}")
     if pat_n == 0:
         return ()
     if pat_n > host_n:

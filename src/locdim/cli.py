@@ -13,7 +13,13 @@ import sys
 
 from . import verify as verify_mod
 from .dimension import local_metric_dimension, metric_dimension
-from .enumeration import connected_graphs, parse_corpus, read_corpus
+from .enumeration import (
+    CANONICAL_MAX_VERTICES,
+    CONNECTED_CLASS_COUNTS,
+    connected_graphs,
+    parse_corpus,
+    read_corpus,
+)
 from .families import FAMILY_GRAMMAR, from_spec
 from .graphs import Graph, Graph6Error, from_graph6, to_graph6
 from .pattern import find_induced, is_gamma_free
@@ -35,9 +41,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _gen_order(text: str) -> int:
     n = int(text)
-    if not 3 <= n <= 8:
+    top = CANONICAL_MAX_VERTICES
+    if not 3 <= n <= top:
         raise argparse.ArgumentTypeError(
-            f"exhaustive streams stop at order 8 (11117 graphs); 3..8 allowed, got {n}"
+            f"exhaustive streams stop at order {top} ({CONNECTED_CLASS_COUNTS[top]} graphs);"
+            f" 3..{top} allowed, got {n}"
         )
     return n
 

@@ -179,8 +179,10 @@ def _class_bits(n: int, connected_only: bool) -> frozenset[int]:
 def connected_graphs(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one canonical representative per
     isomorphism class, in ascending key order."""
-    if not 1 <= n <= 8:
-        raise ValueError(f"connected_graphs supports 1 <= n <= 8, got {n}")
+    if not 1 <= n <= CANONICAL_MAX_VERTICES:
+        raise ValueError(
+            f"connected_graphs supports 1 <= n <= {CANONICAL_MAX_VERTICES}, got {n}"
+        )
     for bits in sorted(_class_bits(n, True)):
         yield graph_from_triangle_bits(n, bits)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .graphs import DisconnectedError, Graph, bit_indices, is_connected
+from .graphs import Graph, bit_indices
 
 
 def max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -41,11 +41,3 @@ def twin_partition(g: Graph) -> TwinPartition:
         groups.setdefault(g.adj[v] | (1 << v), []).append(v)
     classes = sorted(tuple(vs) for vs in groups.values())
     return TwinPartition(tuple(classes))
-
-
-def twin_lower_bound(g: Graph) -> int:
-    """n minus the number of true-twin classes; a floor for the local
-    metric dimension of a connected graph."""
-    if not is_connected(g):
-        raise DisconnectedError("twin lower bound needs a connected graph")
-    return g.n - twin_partition(g).class_count

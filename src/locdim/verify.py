@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .dimension import _solve, local_metric_dimension, lower_bounds
-from .enumeration import canonical_graph6, connected_graphs
+from .enumeration import CANONICAL_MAX_VERTICES, canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
 from .graphs import Graph, bit_indices, is_bipartite, is_triangle_free, to_graph6
 from .pattern import is_gamma_free
@@ -52,7 +52,7 @@ def complete_minus_bipartite_params(g: Graph) -> tuple[int, int] | None:
 
 def _graph_id(g: Graph) -> str:
     """Canonical graph6 where canonical labeling reaches, else the input's."""
-    if g.n <= 8:
+    if g.n <= CANONICAL_MAX_VERTICES:
         return canonical_graph6(g)
     return to_graph6(g)
 

@@ -6,15 +6,27 @@ assignment instead of ordered backtracking, every permutation instead of a
 pruned canonical search. Slow on purpose; only run at small orders. The
 one exception is the labeled recount of the class stream, which uses the
 canonical_bits kernel but none of the orderly generator it checks.
+
+The compiled kernels are built here too: the `compiled` fixture compiles
+src/locdim/_speedups.c once per session into a temporary directory, and
+the `impl` fixture hands every backend-parametrized test each backend in
+turn.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import random
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
-from locdim import kernels
+import pytest
+
+from locdim import _pure, kernels
 from locdim.dimension import is_local_resolving, is_resolving
 from locdim.enumeration import connected_graphs
 from locdim.families import complete, cycle
@@ -26,6 +38,41 @@ from locdim.graphs import (
     is_connected,
     triangle_bits,
 )
+
+SPEEDUPS_SOURCE = Path(__file__).resolve().parent.parent / "src" / "locdim" / "_speedups.c"
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """locdim._speedups built from its C source with gcc into a temporary
+    directory, not into src/, so the package's own backend choice is left
+    alone. Skips only when there is no C compiler."""
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("no C compiler (gcc) to build locdim._speedups")
+    target = tmp_path_factory.mktemp("speedups") / (
+        "_speedups" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    subprocess.run(
+        [
+            gcc, "-O3", "-shared", "-fPIC",
+            "-I" + sysconfig.get_paths()["include"],
+            str(SPEEDUPS_SOURCE), "-o", str(target),
+        ],
+        check=True,
+    )
+    spec = importlib.util.spec_from_file_location("locdim._speedups", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def impl(request):
+    """Each kernel backend in turn: locdim._pure, then the compiled build."""
+    if request.param == "pure":
+        return _pure
+    return request.getfixturevalue("compiled")
 
 
 def naive_clique(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -1,8 +1,8 @@
 """Pure and compiled kernels must be indistinguishable.
 
 Both backends get the same randomized instances; any divergence in results
-or in rejected inputs is a bug in one of them. Skipped entirely when the
-extension was not built.
+or in rejected inputs is a bug in one of them. The compiled module is the
+one conftest builds from src/locdim/_speedups.c for this session.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import subprocess
 import sys
 
 import pytest
-from conftest import twin_rich_graphs
+from conftest import random_connected, twin_rich_graphs
 
-from locdim import _pure, kernels
+from locdim import _pure
+from locdim.dimension import distinguisher_sets, lower_bounds
+from locdim.families import gamma1, gamma2
 from locdim.graphs import triangle_bits
-
-compiled = pytest.importorskip("locdim._speedups")
 
 SEED = 0x5EED
 
@@ -33,31 +33,84 @@ def _random_adj(rng: random.Random, n: int, p: float) -> list[int]:
     return rows
 
 
-def test_backend_reports_compiled():
-    assert kernels.BACKEND in ("pure", "compiled")
-    if not os.environ.get("LOCDIM_NO_SPEEDUPS"):
-        assert kernels.BACKEND == "compiled"
-
-
-def test_env_override_forces_pure_backend():
-    code = "import locdim.kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, LOCDIM_NO_SPEEDUPS="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+def _backend_with(compiled, env: dict[str, str]) -> str:
+    """locdim.kernels.BACKEND, and whether its is_canonical is the compiled
+    one, in a fresh interpreter where the compiled build is importable as
+    locdim._speedups."""
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('locdim._speedups', {compiled.__file__!r})\n"
+        "sys.modules['locdim._speedups'] = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(sys.modules['locdim._speedups'])\n"
+        "import locdim.kernels as k\n"
+        "print(k.BACKEND, k.is_canonical is sys.modules['locdim._speedups'].is_canonical)\n"
     )
-    assert out.stdout.strip() == "pure"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, **env),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.strip()
 
 
-def test_max_clique_agreement():
+def test_backend_reports_compiled(compiled):
+    assert _backend_with(compiled, {"LOCDIM_NO_SPEEDUPS": ""}) == "compiled True"
+
+
+def test_env_override_forces_pure_backend(compiled):
+    assert _backend_with(compiled, {"LOCDIM_NO_SPEEDUPS": "1"}) == "pure False"
+
+
+BAD_INPUTS = {
+    "max_clique-n63": lambda k: k.max_clique(63, [0] * 63),
+    "induced_embedding-n63": lambda k: k.induced_embedding(63, [0] * 63, 1, [0]),
+    "induced_embedding-pattern-n-1": lambda k: k.induced_embedding(3, [0] * 3, -1, []),
+    "canonical_bits-n12": lambda k: k.canonical_bits(12, [0] * 12),
+    "is_canonical-n12": lambda k: k.is_canonical(12, [0] * 12, 0),
+    "min_hitting_set-bit64": lambda k: k.min_hitting_set(62, [1 << 64], 0),
+}
+
+
+@pytest.mark.parametrize("call", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
+def test_out_of_range_input_rejected(impl, call):
+    """Inputs past a kernel's fixed word or array size. The hitting set's
+    universe 63, empty constraint and out-of-universe bit are in
+    test_dimension's TestHittingSetValidation, on both backends too."""
+    with pytest.raises(ValueError):
+        call(impl)
+
+
+def test_max_clique_agreement(compiled):
     rng = random.Random(SEED)
     for _ in range(300):
         n = rng.randint(1, 12)
         adj = _random_adj(rng, n, rng.uniform(0.1, 0.9))
         assert _pure.max_clique(n, adj) == compiled.max_clique(n, adj)
+    # the 64-bit word's edge: vertex 61 is the top bit of every mask
+    for p in (0.3, 0.6, 0.8):
+        adj = _random_adj(rng, 62, p)
+        assert _pure.max_clique(62, adj) == compiled.max_clique(62, adj)
 
 
-def test_min_hitting_set_agreement():
+def _dense_systems() -> list[tuple[int, list[int], int]]:
+    """Local and full systems of G(28, p) draws with the solver's real
+    floors: deep enough to reach the tree search and the witness rebuild."""
+    rng = random.Random(SEED + 5)
+    systems = []
+    for p in (0.6, 0.9):
+        for _ in range(2):
+            g = random_connected(rng, 28, p)
+            best = lower_bounds(g).best
+            for mode in ("local", "full"):
+                systems.append((g.n, list(distinguisher_sets(g, mode=mode).masks()), best))
+    return systems
+
+
+def test_min_hitting_set_agreement(compiled):
     rng = random.Random(SEED + 1)
+    cases = []
     for _ in range(300):
         universe = rng.randint(1, 16)
         count = rng.randint(1, 12)
@@ -67,13 +120,22 @@ def test_min_hitting_set_agreement():
             if not m:
                 m = 1 << rng.randrange(universe)
             masks.append(m)
-        lb = rng.randint(0, 1)
+        cases.append((universe, masks, rng.randint(0, 1)))
+    # universe 62 with bit 61 in use: sparse masks over the whole word, and
+    # the top element forced into the witness by a singleton
+    for _ in range(40):
+        masks = [rng.getrandbits(62) & rng.getrandbits(62) & rng.getrandbits(62) or 1 << 61
+                 for _ in range(20)]
+        masks += [1 << 61, (1 << 60) | (1 << 59)]
+        cases.append((62, masks, rng.randint(0, 1)))
+    cases += _dense_systems()
+    for universe, masks, lb in cases:
         assert _pure.min_hitting_set(universe, masks, lb) == compiled.min_hitting_set(
             universe, masks, lb
-        )
+        ), (universe, masks, lb)
 
 
-def test_canonical_bits_agreement():
+def test_canonical_bits_agreement(compiled):
     rng = random.Random(SEED + 2)
     for _ in range(200):
         n = rng.randint(1, 7)
@@ -83,9 +145,8 @@ def test_canonical_bits_agreement():
         assert _pure.canonical_bits(g.n, g.adj) == compiled.canonical_bits(g.n, g.adj)
 
 
-def test_is_canonical_agreement():
-    """The pure early-exit test, and kernels' choice of it, against the
-    compiled full search compared with own."""
+def test_is_canonical_agreement(compiled):
+    """Both early-exit tests against the full search compared with own."""
     rng = random.Random(SEED + 4)
     cases = []
     for _ in range(200):
@@ -93,21 +154,15 @@ def test_is_canonical_agreement():
         cases.append((n, _random_adj(rng, n, rng.uniform(0.2, 0.8))))
     cases += [(g.n, list(g.adj)) for g in twin_rich_graphs()]
     for n, adj in cases:
-        canon = compiled.canonical_bits(n, adj)
+        canon = _pure.canonical_bits(n, adj)
         own = triangle_bits(n, adj)
         for target in (own, canon):
             expected = canon == target
             assert _pure.is_canonical(n, adj, target) == expected
-            assert kernels.is_canonical(n, adj, target) == expected
+            assert compiled.is_canonical(n, adj, target) == expected
 
 
-@pytest.mark.parametrize("impl", [_pure, compiled], ids=["pure", "compiled"])
-def test_canonical_bits_order_cap(impl):
-    with pytest.raises(ValueError):
-        impl.canonical_bits(12, [0] * 12)
-
-
-def test_induced_embedding_agreement():
+def test_induced_embedding_agreement(compiled):
     rng = random.Random(SEED + 3)
     for _ in range(300):
         hn = rng.randint(1, 10)
@@ -117,3 +172,14 @@ def test_induced_embedding_agreement():
         assert _pure.induced_embedding(hn, host, pn, pat) == compiled.induced_embedding(
             hn, host, pn, pat
         )
+    # 62-vertex hosts, where the candidate masks use the word's top bits
+    patterns = [(6, list(gamma1().adj)), (6, list(gamma2().adj))]
+    patterns += [(pn, _random_adj(rng, pn, 0.5)) for pn in (3, 4, 5, 6)]
+    # a star centred on vertex 61: the only image of a star pattern's centre
+    star = [1 << 61] * 61 + [(1 << 61) - 1]
+    patterns.append((4, [0b1110, 1, 1, 1]))
+    for host in [_random_adj(rng, 62, p) for p in (0.1, 0.5, 0.9)] + [star]:
+        for pn, pat in patterns:
+            assert _pure.induced_embedding(62, host, pn, pat) == compiled.induced_embedding(
+                62, host, pn, pat
+            )

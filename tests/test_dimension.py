@@ -32,16 +32,6 @@ from locdim.families import (
 )
 from locdim.graphs import DisconnectedError, Graph, bfs_distances, build
 
-try:
-    from locdim import _speedups
-except ImportError:
-    _speedups = None
-
-# every kernel backend importable here; the compiled one only when built
-HITTING_IMPLS = [pytest.param(_pure, id="pure")] + (
-    [pytest.param(_speedups, id="compiled")] if _speedups is not None else []
-)
-
 STAR = build(4, [(0, 1), (0, 2), (0, 3)])
 
 
@@ -240,8 +230,9 @@ class TestExactValues:
             assert (result.value, result.witness) == naive_dimension(g, "local")
 
 
-@pytest.mark.parametrize("impl", HITTING_IMPLS)
 class TestHittingSetValidation:
+    """Both backends, through conftest's impl fixture."""
+
     def test_empty_constraint_rejected(self, impl):
         with pytest.raises(ValueError):
             impl.min_hitting_set(4, [0b0101, 0], 0)

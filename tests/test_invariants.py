@@ -7,15 +7,11 @@ import itertools
 import pytest
 from conftest import naive_clique, stream_upto
 
+from locdim.dimension import lower_bounds
 from locdim.enumeration import connected_graphs
 from locdim.families import complete, complete_minus_bipartite, cycle, path
 from locdim.graphs import DisconnectedError, build
-from locdim.invariants import (
-    clique_number,
-    max_clique,
-    twin_lower_bound,
-    twin_partition,
-)
+from locdim.invariants import clique_number, max_clique, twin_partition
 
 
 class TestClique:
@@ -70,13 +66,13 @@ class TestTwins:
         assert twin_partition(path(2)).classes == ((0, 1),)
 
     def test_twin_lower_bound_values(self):
-        assert twin_lower_bound(complete(6)) == 5
-        assert twin_lower_bound(cycle(5)) == 0
-        assert twin_lower_bound(complete_minus_bipartite(9, 4, 3)) == 6
+        assert lower_bounds(complete(6)).twin == 5
+        assert lower_bounds(cycle(5)).twin == 0
+        assert lower_bounds(complete_minus_bipartite(9, 4, 3)).twin == 6
 
     def test_twin_lower_bound_rejects_disconnected(self):
         with pytest.raises(DisconnectedError):
-            twin_lower_bound(build(4, [(0, 1), (2, 3)]))
+            lower_bounds(build(4, [(0, 1), (2, 3)]))
 
     def test_partition_properties(self):
         for g in stream_upto(6):
