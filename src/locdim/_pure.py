@@ -105,6 +105,30 @@ def _exclude(rem: list[int], v: int) -> list[int] | None:
     return rem if rem[0] else None
 
 
+def _least(rem: list[int], chosen: int, best: int, floor: int) -> int:
+    """The branch-and-bound below one node: min(best, chosen + the size of
+    the smallest hitting set of rem), except that the search stops as soon
+    as that falls to floor or below. rem holds no empty constraint and is
+    in size order; the first hitting set found of size at most floor ends
+    the search."""
+    if not rem:
+        return min(chosen, best)
+    # rem needs one more element at least, so chosen + 1 >= best prunes
+    # before the packing bound is counted
+    if best <= floor or chosen + 1 >= best or chosen + _pack_bound(rem) >= best:
+        return best
+    # every hitting set hits rem[0]; branch on its elements (the bits of
+    # this rem[0], fixed when the loop starts)
+    for v in bit_indices(rem[0]):
+        best = _least([c for c in rem if not (c >> v) & 1], chosen + 1, best, floor)
+        if best <= floor:
+            return best
+        rem = _exclude(rem, v)
+        if rem is None or chosen + _pack_bound(rem) >= best:
+            return best
+    return best
+
+
 def min_hitting_set(
     universe: int, constraints: Sequence[int], lower_bound: int = 0
 ) -> tuple[int, int]:
@@ -113,8 +137,7 @@ def min_hitting_set(
     Ground elements are bits 0..universe-1. `lower_bound` must be a valid
     bound for the instance; the search stops as soon as it is met. Returns
     (size, witness_mask) where the witness is the lexicographically smallest
-    optimal set under sorted-tuple comparison, rebuilt in a second phase
-    from greedy prefix feasibility probes.
+    optimal set under sorted-tuple comparison.
 
     Only the inclusion-minimal constraints matter, since hitting a subset
     hits every superset. They are found by one pass in (size, value) order
@@ -122,19 +145,26 @@ def min_hitting_set(
     proper subset is strictly smaller, so it comes first, and a subset of a
     dropped constraint is itself a superset of a kept one.
 
-    Both the value search and the rebuild probes branch on the elements of
-    the smallest remaining constraint, in ascending order, with exclusion:
-    once the subtree that takes v has been searched, every hitting set that
-    contains v has been seen, so v is deleted from the remaining constraints
-    before the next sibling. The siblings stop when a constraint becomes
-    empty. The restricted constraints are re-sorted by size, so a size-1
+    One branch-and-bound, _least, finds the value and answers every probe
+    of the witness rebuild. It branches on the elements of the smallest
+    remaining constraint, in ascending order, with exclusion: once the
+    subtree that takes v has been searched, every hitting set that contains
+    v has been seen, so v is deleted from the remaining constraints before
+    the next sibling. The siblings stop when a constraint becomes empty.
+    The restricted constraints are re-sorted by size, so a size-1
     constraint gives a single forced branch in the child (unit
     propagation), and the disjoint-packing bound, re-checked after each
-    deletion, is tighter on the smaller constraints. Each probe of the
-    rebuild restricts the constraints to the allowed elements once, at its
-    root. The siblings partition the hitting sets that the overlapping
-    search visited, so the value (the unique minimum) and the answer of
-    every probe, hence the witness, are the same as before.
+    deletion, is tighter on the smaller constraints. The siblings partition
+    the hitting sets below the node, so no optimum is lost.
+
+    The value search starts from the greedy cover's size (most hits first)
+    and stops at the floor: the largest of lower_bound, 1 and the packing
+    bound. The witness is then rebuilt one element at a time: v is taken
+    when the constraints it leaves unhit, restricted to the elements after
+    v, have a hitting set within the budget B still open. That probe is the
+    same search started with best = B + 1 and floor = B. Its prune, chosen
+    plus the packing bound reaching B + 1, says the budget is exceeded, and
+    the first hitting set it finds has size at most B, which ends it.
     """
     if not 0 <= universe <= 62:
         raise ValueError(f"universe size must be in 0..62, got {universe}")
@@ -163,45 +193,7 @@ def min_hitting_set(
         best_size += 1
         rem = [c for c in rem if not (c >> v) & 1]
 
-    state = [best_size]
-
-    # rem holds no empty constraint and is in size order
-    def search(chosen: int, rem: list[int]) -> None:
-        if not rem:
-            if chosen < state[0]:
-                state[0] = chosen
-            return
-        if state[0] <= floor:
-            return
-        if chosen + _pack_bound(rem) >= state[0]:
-            return
-        # every hitting set hits rem[0]; branch on its elements (the bits of
-        # this rem[0], fixed when the loop starts)
-        for v in bit_indices(rem[0]):
-            search(chosen + 1, [c for c in rem if not (c >> v) & 1])
-            if state[0] <= floor:
-                return
-            rem = _exclude(rem, v)
-            if rem is None or chosen + _pack_bound(rem) >= state[0]:
-                return
-
-    if best_size > floor:
-        search(0, cons)
-    k = state[0]
-
-    # rem is already restricted to the allowed elements, in size order
-    def feasible(rem: list[int], budget: int) -> bool:
-        if not rem:
-            return True
-        if budget <= 0 or _pack_bound(rem) > budget:
-            return False
-        for v in bit_indices(rem[0]):
-            if feasible([c for c in rem if not (c >> v) & 1], budget - 1):
-                return True
-            rem = _exclude(rem, v)
-            if rem is None or _pack_bound(rem) > budget:
-                return False
-        return False
+    k = _least(cons, 0, best_size, floor)
 
     full = (1 << universe) - 1
     witness = 0
@@ -213,9 +205,10 @@ def min_hitting_set(
             nrem = [c for c in rem if not (c >> v) & 1]
             allowed = (full >> (v + 1)) << (v + 1)
             restricted = sorted([c & allowed for c in nrem], key=int.bit_count)
-            if (not restricted or restricted[0]) and feasible(
-                restricted, k - count - 1
-            ):
+            budget = k - count - 1
+            if (not restricted or restricted[0]) and _least(
+                restricted, 0, budget + 1, budget
+            ) <= budget:
                 witness |= 1 << v
                 count += 1
                 rem = nrem

@@ -197,9 +197,10 @@ struct hitting {
     uint64_t *scratch;  /* room for every constraint, for sort_by_size */
 };
 
-/* Each level owns its constraint array rem[0..k), which exclude rewrites,
-   and builds its children's arrays right after it, at rem + k. The arena
-   holds one array per level of the deepest branch. */
+/* _pure._least, with best and floor in h: the value search and every
+   witness probe. Each level owns its constraint array rem[0..k), which
+   exclude rewrites, and builds its children's arrays right after it, at
+   rem + k. The arena holds one array per level of the deepest branch. */
 static void
 hs_search(struct hitting *h, int chosen, uint64_t *rem, int k)
 {
@@ -208,7 +209,8 @@ hs_search(struct hitting *h, int chosen, uint64_t *rem, int k)
             h->best = chosen;
         return;
     }
-    if (h->best <= h->floor || chosen + pack_bound(rem, k) >= h->best)
+    if (h->best <= h->floor || chosen + 1 >= h->best
+        || chosen + pack_bound(rem, k) >= h->best)
         return;
     uint64_t *child = rem + k;
     for (uint64_t bits = rem[0]; bits; bits &= bits - 1) {
@@ -220,24 +222,6 @@ hs_search(struct hitting *h, int chosen, uint64_t *rem, int k)
             || chosen + pack_bound(rem, k) >= h->best)
             return;
     }
-}
-
-static int
-hs_feasible(struct hitting *h, uint64_t *rem, int k, int budget)
-{
-    if (k == 0)
-        return 1;
-    if (budget <= 0 || pack_bound(rem, k) > budget)
-        return 0;
-    uint64_t *child = rem + k;
-    for (uint64_t bits = rem[0]; bits; bits &= bits - 1) {
-        int v = lowest(bits);
-        if (hs_feasible(h, child, unhit(rem, k, v, child), budget - 1))
-            return 1;
-        if (!exclude(rem, k, v, h->scratch) || pack_bound(rem, k) > budget)
-            return 0;
-    }
-    return 0;
 }
 
 static int
@@ -269,7 +253,8 @@ greedy_cover(const uint64_t *cons, int k, uint64_t *work)
 }
 
 /* The value search and the lex-smallest witness rebuild of _pure, on the
-   minimal constraints cons[0..k) in size order, which it overwrites. */
+   minimal constraints cons[0..k) in size order, which it overwrites. A
+   probe with budget B is hs_search from best = B + 1 down to floor = B. */
 static PyObject *
 hs_solve(int universe, uint64_t *cons, int k, int lower_bound,
          uint64_t *scratch)
@@ -308,7 +293,11 @@ hs_solve(int universe, uint64_t *cons, int k, int lower_bound,
             if (!open)
                 continue;
             sort_by_size(restricted, nk, scratch);
-            if (hs_feasible(&h, restricted, nk, h.best - count - 1))
+            int budget = h.best - count - 1;
+            struct hitting probe = {.floor = budget, .best = budget + 1,
+                                    .scratch = scratch};
+            hs_search(&probe, 0, restricted, nk);
+            if (probe.best <= budget)
                 break;
         }
         if (v == universe) {

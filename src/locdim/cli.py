@@ -8,7 +8,6 @@ scan) or no refutation found (refute-problem1).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import verify as verify_mod
@@ -63,14 +62,6 @@ def _check_ids(text: str) -> tuple[str, ...]:
         return verify_mod.normalize_checks(ids)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("LOCDIM_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _graph_from_any(text: str) -> Graph:
@@ -233,8 +224,8 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--checks", type=_check_ids, default=None, metavar="IDS",
                           help="comma-separated subset of "
                                + ",".join(verify_mod.CHECK_IDS))
-    p_verify.add_argument("--jobs", type=_jobs, default=_default_jobs(), metavar="K",
-                          help="worker processes (default: LOCDIM_JOBS or 1)")
+    p_verify.add_argument("--jobs", type=_jobs, default=1, metavar="K",
+                          help="worker processes (default 1)")
     p_verify.add_argument("--format", choices=("human", "records"), default="human",
                           help="records: one graph_id/check_id/applicable/holds "
                                "line per graph per check")

@@ -47,10 +47,11 @@ from .graphs import (
     Graph,
     Graph6Error,
     _reach,
+    _triangle_graph6,
+    _triangle_rows,
     bit_indices,
     from_graph6,
     graph_from_triangle_bits,
-    to_graph6,
     triangle_bits,
     twin_masks,
 )
@@ -96,7 +97,8 @@ def canonical_form(g: Graph) -> Graph:
 
 
 def canonical_graph6(g: Graph) -> str:
-    return to_graph6(canonical_form(g))
+    key = canonical_key(g)
+    return _triangle_graph6(key.n, key.bits)
 
 
 def _admissible_columns(pbits: int, adj: Sequence[int]) -> Iterator[int]:
@@ -144,7 +146,7 @@ def _orderly_children(
     top = 1 << k
     accepted = []
     for pbits in sorted(parents):
-        adj = graph_from_triangle_bits(k, pbits).adj
+        adj = _triangle_rows(k, pbits)
         for column in _admissible_columns(pbits, adj):
             nbhd = sum(1 << v for v in range(k) if (column >> (k - 1 - v)) & 1)
             # connected iff the new vertex's neighbors reach every parent vertex

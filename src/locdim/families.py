@@ -128,8 +128,19 @@ def apex_triangles(count: int) -> Graph:
 
 # ------------------------------------------------------------- spec parsing
 
-_BARE = {"gamma1", "gamma2", "lambda"}
-_WITH_ARGS = {"kn": 1, "cn": 1, "pn": 1, "knm": 3, "upsilon": 1, "apex": 1}
+# name -> (parameter count, constructor). A family without parameters is
+# written bare, one with parameters as a call.
+_FAMILIES = {
+    "kn": (1, complete),
+    "cn": (1, cycle),
+    "pn": (1, path),
+    "knm": (3, complete_minus_bipartite),
+    "gamma1": (0, gamma1),
+    "gamma2": (0, gamma2),
+    "lambda": (0, lambda_graph),
+    "upsilon": (1, upsilon),
+    "apex": (1, apex_triangles),
+}
 _SHORTHAND = re.compile(r"^([kcp])(\d+)$")
 _CALL = re.compile(r"^([a-z0-9]+)\((\d+(?:,\d+)*)\)$")
 
@@ -140,31 +151,13 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def build(self) -> Graph:
-        if self.name == "kn":
-            return complete(*self.params)
-        if self.name == "cn":
-            return cycle(*self.params)
-        if self.name == "pn":
-            return path(*self.params)
-        if self.name == "knm":
-            return complete_minus_bipartite(*self.params)
-        if self.name == "gamma1":
-            return gamma1()
-        if self.name == "gamma2":
-            return gamma2()
-        if self.name == "lambda":
-            return lambda_graph()
-        if self.name == "upsilon":
-            return upsilon(*self.params)
-        if self.name == "apex":
-            return apex_triangles(*self.params)
-        raise AssertionError(f"unhandled family {self.name}")
+        return _FAMILIES[self.name][1](*self.params)
 
 
 def parse_spec(text: str) -> FamilySpec:
     """Parse a family spec string; see FAMILY_GRAMMAR."""
     s = text.strip()
-    if s in _BARE:
+    if s in _FAMILIES and _FAMILIES[s][0] == 0:
         return FamilySpec(s, ())
     short = _SHORTHAND.match(s)
     if short:
@@ -173,12 +166,11 @@ def parse_spec(text: str) -> FamilySpec:
     if call:
         name = call.group(1)
         params = tuple(int(p) for p in call.group(2).split(","))
-        if name not in _WITH_ARGS:
+        arity = _FAMILIES[name][0] if name in _FAMILIES else 0
+        if arity == 0:
             raise ValueError(f"unknown family {name!r} in spec {text!r}")
-        if len(params) != _WITH_ARGS[name]:
-            raise ValueError(
-                f"family {name!r} takes {_WITH_ARGS[name]} parameter(s), got {len(params)}"
-            )
+        if len(params) != arity:
+            raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
         return FamilySpec(name, params)
     raise ValueError(f"cannot parse family spec {text!r}")
 

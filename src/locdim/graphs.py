@@ -162,30 +162,40 @@ def twin_masks(adj: Sequence[int]) -> list[int]:
     return twins
 
 
-def graph_from_triangle_bits(n: int, bits: int) -> Graph:
-    """Inverse of triangle_bits."""
-    m = n * (n - 1) // 2
-    if bits >> m:
-        raise ValueError(f"triangle bits out of range for n={n}")
+def _triangle_rows(n: int, bits: int) -> list[int]:
+    """Adjacency rows of the n-vertex graph whose triangle bits are bits,
+    which must fit in n(n-1)/2 bits."""
     rows = [0] * n
-    pos = m
+    pos = n * (n - 1) // 2
     for j in range(1, n):
         for i in range(j):
             pos -= 1
             if (bits >> pos) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return rows
 
 
-def to_graph6(g: Graph) -> str:
-    m = g.n * (g.n - 1) // 2
+def graph_from_triangle_bits(n: int, bits: int) -> Graph:
+    """Inverse of triangle_bits."""
+    if bits >> (n * (n - 1) // 2):
+        raise ValueError(f"triangle bits out of range for n={n}")
+    return Graph(n, tuple(_triangle_rows(n, bits)))
+
+
+def _triangle_graph6(n: int, bits: int) -> str:
+    """graph6 text of the n-vertex graph whose triangle bits are bits."""
+    m = n * (n - 1) // 2
     groups = (m + 5) // 6
-    bits = triangle_bits(g.n, g.adj) << (groups * 6 - m)
-    out = [chr(63 + g.n)]
+    bits <<= groups * 6 - m
+    out = [chr(63 + n)]
     for i in range(groups - 1, -1, -1):
         out.append(chr(63 + ((bits >> (6 * i)) & 63)))
     return "".join(out)
+
+
+def to_graph6(g: Graph) -> str:
+    return _triangle_graph6(g.n, triangle_bits(g.n, g.adj))
 
 
 def from_graph6(text: str) -> Graph:

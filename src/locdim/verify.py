@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .dimension import _solve, local_metric_dimension, lower_bounds
 from .enumeration import CANONICAL_MAX_VERTICES, canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
-from .graphs import Graph, bit_indices, is_bipartite, is_triangle_free, to_graph6
+from .graphs import Graph, bit_indices, is_bipartite, to_graph6
 from .pattern import is_gamma_free
 
 
@@ -63,10 +63,12 @@ class GraphFacts:
     def __init__(self, g: Graph):
         self.g = g
         self.n = g.n
-        self.m = g.m
         self.local = local_metric_dimension(g)
         self.dim_local = self.local.value
         self.omega = self.local.bounds.omega
+        # read off the clique number the solve already computed
+        self.is_complete = self.omega == self.n
+        self.triangle_free = self.omega <= 2
 
     @functools.cached_property
     def graph_id(self) -> str:
@@ -75,14 +77,6 @@ class GraphFacts:
     @functools.cached_property
     def bipartite(self) -> bool:
         return is_bipartite(self.g)
-
-    @functools.cached_property
-    def triangle_free(self) -> bool:
-        return is_triangle_free(self.g)
-
-    @functools.cached_property
-    def is_complete(self) -> bool:
-        return self.m == self.n * (self.n - 1) // 2
 
     @functools.cached_property
     def gamma_free(self) -> bool:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from locdim.cli import _default_jobs, _gen_order, main
+from locdim.cli import _build_parser, _gen_order, main
 from locdim.enumeration import connected_graphs
 from locdim.graphs import to_graph6
 
@@ -155,6 +155,9 @@ class TestVerify:
         )
         assert serial == fanned
 
+    def test_jobs_defaults_to_one(self):
+        assert _build_parser().parse_args(["verify", "--gen", "3"]).jobs == 1
+
     def test_check_subset(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--gen", "3", "--checks", "C1,C3", "--format", "records"
@@ -239,16 +242,3 @@ class TestUsageErrors:
     def test_gen_reaches_order_eight(self):
         assert _gen_order("8") == 8
 
-
-class TestJobsDefault:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("LOCDIM_JOBS", "3")
-        assert _default_jobs() == 3
-
-    def test_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("LOCDIM_JOBS", "many")
-        assert _default_jobs() == 1
-
-    def test_env_absent(self, monkeypatch):
-        monkeypatch.delenv("LOCDIM_JOBS", raising=False)
-        assert _default_jobs() == 1

@@ -249,6 +249,33 @@ class TestHittingSetValidation:
         assert impl.min_hitting_set(5, [], 0) == (0, 0)
 
 
+def _masks(*sets: tuple[int, ...]) -> list[int]:
+    return [sum(1 << v for v in elements) for elements in sets]
+
+
+class TestWitnessProbes:
+    """Systems where the greedy cover is already optimal but is not the
+    lexicographically smallest optimum, so the witness comes from the
+    rebuild probes alone. Both backends, through conftest's impl fixture."""
+
+    def test_greedy_optimal_but_not_lex_smallest(self, impl):
+        # greedy takes 1 (two hits, ties to the smaller element), then 2;
+        # the packing bound is 1, so the value search runs and finds no
+        # single hitter
+        masks = _masks((0, 1, 2), (1, 3), (2, 3))
+        expected = (2, _masks((0, 3))[0])
+        assert naive_hitting_set(4, masks) == expected
+        assert impl.min_hitting_set(4, masks, 0) == expected
+
+    def test_lower_bound_at_the_value_skips_the_value_search(self, impl):
+        # greedy takes {3, 4, 5}, which meets lower_bound 3 (the packing
+        # bound is 2), so no value search runs
+        masks = _masks((1, 2, 4), (2, 3, 4), (1, 5), (3, 6), (4, 6), (5, 6))
+        expected = (3, _masks((1, 2, 6))[0])
+        assert naive_hitting_set(7, masks) == expected
+        assert impl.min_hitting_set(7, masks, 3) == expected
+
+
 def _random_system(rng: random.Random, universe: int) -> list[int]:
     """Random masks with duplicates, nested pairs and singletons mixed in."""
     masks: list[int] = []

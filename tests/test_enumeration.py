@@ -38,6 +38,7 @@ from locdim.enumeration import (
 from locdim.families import complete, cycle, path
 from locdim.graphs import (
     Graph6Error,
+    _triangle_graph6,
     build,
     from_graph6,
     graph_from_triangle_bits,
@@ -303,6 +304,31 @@ class TestOrderlyGeneration:
         monkeypatch.setattr(enumeration, "triangle_bits", no_lookup)
         g = cycle(5).relabel([2, 4, 1, 3, 0])
         assert canonical_key(g).bits == naive_canonical_bits(5, g.adj)
+
+
+class TestTriangleGraph6:
+    """The graph6 encoder that works on triangle bits, which canonical
+    graph ids use without building a Graph, against the Graph path and
+    the decoder."""
+
+    def _check(self, n: int, bits: int) -> None:
+        g = graph_from_triangle_bits(n, bits)
+        text = _triangle_graph6(n, bits)
+        assert text == to_graph6(g)
+        assert from_graph6(text) == g
+
+    def test_every_class_up_to_order_seven(self):
+        for n in range(1, 8):
+            for bits in enumeration._class_bits(n, False):
+                self._check(n, bits)
+
+    def test_random_graphs_of_every_order(self):
+        # every order up to 62 covers each value m mod 6 takes (0, 1, 3, 4),
+        # so every padding width of the last 6-bit group
+        rng = random.Random(6)
+        for n in range(1, 63):
+            for _ in range(3):
+                self._check(n, rng.getrandbits(n * (n - 1) // 2))
 
 
 class TestCorpus:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from locdim.families import (
@@ -145,6 +147,21 @@ class TestSpecGrammar:
     )
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
+            parse_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("gamma1(3)", "unknown family 'gamma1' in spec 'gamma1(3)'"),
+            ("zeta(3)", "unknown family 'zeta' in spec 'zeta(3)'"),
+            ("apex", "cannot parse family spec 'apex'"),
+            ("kn()", "cannot parse family spec 'kn()'"),
+            ("kn(2,3)", "family 'kn' takes 1 parameter(s), got 2"),
+            ("knm(9,4)", "family 'knm' takes 3 parameter(s), got 2"),
+        ],
+    )
+    def test_rejection_messages(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_spec(text)
 
     def test_constructor_errors_propagate(self):

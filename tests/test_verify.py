@@ -14,7 +14,7 @@ from locdim.families import (
     gamma2,
     path,
 )
-from locdim.graphs import build
+from locdim.graphs import build, is_triangle_free
 from locdim.verify import (
     CHECK_IDS,
     CheckResult,
@@ -87,6 +87,22 @@ class TestFacts:
         assert f.is_split_extremal
         assert f.gamma_free
         assert f.dim_local == 3
+
+    def test_clique_predicates_match_their_direct_tests(self):
+        """Completeness and triangle-freeness are read off omega; over
+        every class up to order 7 they agree with the edge count and the
+        direct triangle test, and so do C1's verdict and C6's premise."""
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                f = GraphFacts(g)
+                complete = g.m == n * (n - 1) // 2
+                assert f.is_complete == complete
+                assert f.triangle_free == is_triangle_free(g)
+                if n < 3:
+                    continue
+                c1, c6 = check_graph(g, ["C1", "C6"]).results
+                assert c1.details.endswith(f" complete={complete}")
+                assert c6.applicable == is_triangle_free(g)
 
 
 class TestCheckGraph:
