@@ -162,15 +162,15 @@ def main() -> None:
 
     workloads = build_workloads()
     width = max(len(name) for name, _ in workloads)
-    print(f"{'workload':<{width}} {'pure':>9} {'compiled':>9} {'speedup':>8}")
+    print(f"{'workload':<{width}} {'pure':>11} {'compiled':>11} {'speedup':>8}")
     for name, fn in workloads:
-        pure_t = measure(fn, _pure, args.repeat)
+        pure_ms = 1000 * measure(fn, _pure, args.repeat)
         if _speedups is None:
-            print(f"{name:<{width}} {pure_t:>8.3f}s {'-':>9} {'-':>8}")
+            print(f"{name:<{width}} {pure_ms:>9.3f}ms {'-':>11} {'-':>8}")
             continue
-        fast_t = measure(fn, _speedups, args.repeat)
+        fast_ms = 1000 * measure(fn, _speedups, args.repeat)
         print(
-            f"{name:<{width}} {pure_t:>8.3f}s {fast_t:>8.3f}s {pure_t / fast_t:>7.1f}x"
+            f"{name:<{width}} {pure_ms:>9.3f}ms {fast_ms:>9.3f}ms {pure_ms / fast_ms:>7.1f}x"
         )
     if _speedups is None:
         print("compiled extension not built; showing pure timings only")

@@ -154,8 +154,9 @@ def _cmd_verify(args) -> int:
     source = f"gen-{args.gen}" if args.gen is not None else str(args.corpus)
     report = verify_mod.run_suite(graphs, checks=args.checks, jobs=args.jobs, source=source)
     if args.format == "records":
-        for line in report.to_records():
-            print(line)
+        records = report.to_records()
+        if records:
+            print("\n".join(records))
     else:
         print(report.to_text())
     return EXIT_OK if report.ok else EXIT_FINDINGS

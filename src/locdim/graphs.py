@@ -45,6 +45,32 @@ class Graph:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
         if len(self.adj) != self.n:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
+        if not self._rows_valid():
+            self._raise_first_fault()
+
+    def _rows_valid(self) -> bool:
+        """Rows in range, no self-loop, symmetric; each edge is looked at
+        once. Every bit above the diagonal has its mirror below it, so the
+        lower half holds at least as many bits as the upper, and exactly as
+        many only when it holds nothing else."""
+        adj = self.adj
+        full = (1 << self.n) - 1
+        upper = total = 0
+        for v, row in enumerate(adj):
+            if row & ~full or (row >> v) & 1:
+                return False
+            high = row >> v << v  # the bits above the diagonal
+            upper += high.bit_count()
+            total += row.bit_count()
+            while high:
+                low = high & -high
+                if not (adj[low.bit_length() - 1] >> v) & 1:
+                    return False
+                high ^= low
+        return 2 * upper == total
+
+    def _raise_first_fault(self) -> None:
+        """Scan every row in order and raise for the first fault found."""
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
             if row & ~full:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dimension import _solve, local_metric_dimension, lower_bounds
 from .enumeration import CANONICAL_MAX_VERTICES, canonical_graph6, connected_graphs
@@ -111,19 +113,32 @@ def _clique_ratio(dim_local: int, omega: int, n: int) -> tuple[bool, str]:
     return lhs <= rhs, f"dim_local*(omega-1)={lhs} (omega-2)*n={rhs}"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     applicable: bool
     holds: bool
     details: str
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
+    """One graph's verdicts as data: bit i of `applicable` and `holds`
+    belongs to check `checks[i]`, and `details[i]` is its text. An
+    inapplicable check keeps its holds bit set (vacuously true). A tuple,
+    so a worker process sends back just these six fields."""
+
     graph_id: str
     n: int
-    results: tuple[CheckResult, ...]
+    checks: tuple[str, ...]
+    applicable: int
+    holds: int
+    details: tuple[str, ...]
+
+    @property
+    def results(self) -> tuple[CheckResult, ...]:
+        return tuple(
+            CheckResult(cid, bool(self.applicable >> i & 1), bool(self.holds >> i & 1), d)
+            for i, (cid, d) in enumerate(zip(self.checks, self.details))
+        )
 
     @property
     def violations(self) -> tuple[CheckResult, ...]:
@@ -258,11 +273,14 @@ def check_graph(g: Graph, checks: Sequence[str] | None = None) -> TheoremReport:
         raise ValueError(f"checks need n >= 3, got n={g.n}")
     ids = normalize_checks(checks)
     facts = GraphFacts(g)
-    results = []
-    for cid in ids:
-        applicable, holds, details = _CHECK_BY_ID[cid].fn(facts)
-        results.append(CheckResult(cid, applicable, holds, details))
-    return TheoremReport(facts.graph_id, g.n, tuple(results))
+    applicable = holds = 0
+    details = []
+    for i, cid in enumerate(ids):
+        a, h, text = _CHECK_BY_ID[cid].fn(facts)
+        applicable |= a << i
+        holds |= h << i
+        details.append(text)
+    return TheoremReport(facts.graph_id, g.n, ids, applicable, holds, tuple(details))
 
 
 @dataclass(frozen=True)
@@ -276,12 +294,14 @@ class SuiteReport:
     def graph_count(self) -> int:
         return len(self.reports)
 
-    @property
+    @functools.cached_property
     def violations(self) -> tuple[tuple[str, str, str], ...]:
+        """(graph_id, check_id, details) of every applicable check that
+        fails, sorted."""
         out = []
         for rep in self.reports:
-            for r in rep.violations:
-                out.append((rep.graph_id, r.check_id, r.details))
+            for i in bit_indices(rep.applicable & ~rep.holds):
+                out.append((rep.graph_id, rep.checks[i], rep.details[i]))
         return tuple(sorted(out))
 
     @property
@@ -291,33 +311,46 @@ class SuiteReport:
     def to_records(self) -> list[str]:
         """One tab-separated record per graph per check, in stream order:
         graph_id, check_id, applicable, holds."""
-        lines = []
+        # few distinct verdict patterns occur, so each one's suffixes are
+        # formatted once and only the graph id is joined per record
+        blocks: dict[tuple[tuple[str, ...], int, int], tuple[str, ...]] = {}
+        lines: list[str] = []
         for rep in self.reports:
-            for r in rep.results:
-                lines.append(f"{rep.graph_id}\t{r.check_id}\t{int(r.applicable)}\t{int(r.holds)}")
+            key = (rep.checks, rep.applicable, rep.holds)
+            block = blocks.get(key)
+            if block is None:
+                block = blocks[key] = tuple(
+                    f"\t{cid}\t{rep.applicable >> i & 1}\t{rep.holds >> i & 1}"
+                    for i, cid in enumerate(rep.checks)
+                )
+            graph_id = rep.graph_id
+            lines += [graph_id + suffix for suffix in block]
         return lines
 
     def to_text(self) -> str:
+        applicable = dict.fromkeys(self.checks, 0)
+        holds = dict.fromkeys(self.checks, 0)
+        patterns = Counter((rep.checks, rep.applicable, rep.holds) for rep in self.reports)
+        for (ids, app_mask, holds_mask), count in patterns.items():
+            for i in bit_indices(app_mask):
+                cid = ids[i]
+                if cid in applicable:
+                    applicable[cid] += count
+                    holds[cid] += count * (holds_mask >> i & 1)
         lines = [
             f"source: {self.source}",
             f"graphs: {self.graph_count}  checks: {len(self.checks)}  elapsed: {self.elapsed:.2f}s",
             f"{'check':<6} {'applicable':>10} {'holds':>10} {'violations':>10}",
         ]
         for cid in self.checks:
-            applicable = holds = bad = 0
-            for rep in self.reports:
-                for r in rep.results:
-                    if r.check_id != cid or not r.applicable:
-                        continue
-                    applicable += 1
-                    holds += int(r.holds)
-                    bad += int(not r.holds)
-            lines.append(f"{cid:<6} {applicable:>10} {holds:>10} {bad:>10}")
-        if self.ok:
+            bad = applicable[cid] - holds[cid]
+            lines.append(f"{cid:<6} {applicable[cid]:>10} {holds[cid]:>10} {bad:>10}")
+        violations = self.violations
+        if not violations:
             lines.append("violations: none")
         else:
-            lines.append(f"violations: {len(self.violations)}")
-            for graph_id, cid, details in self.violations:
+            lines.append(f"violations: {len(violations)}")
+            for graph_id, cid, details in violations:
                 lines.append(f"  {graph_id}  {cid}  {details}")
         return "\n".join(lines)
 
@@ -335,22 +368,25 @@ def run_suite(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    graph_list = list(graphs)
     ids = normalize_checks(checks)
-    started = time.perf_counter()
     fn = functools.partial(check_graph, checks=ids)
-    if jobs > 1 and len(graph_list) > 1:
+    if jobs > 1:
+        # the pool sizes its chunks from the count; a serial run checks
+        # each graph as it is drawn and never holds the whole input
+        graphs = list(graphs)
+    started = time.perf_counter()
+    if jobs > 1 and len(graphs) > 1:
         # imported here: concurrent.futures.process pulls in multiprocessing,
         # which a serial run would pay for on every import of the package
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(graph_list) // (4 * jobs))
+        chunk = max(1, len(graphs) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(fn, graph_list, chunksize=chunk))
+            reports = tuple(pool.map(fn, graphs, chunksize=chunk))
     else:
-        reports = [fn(g) for g in graph_list]
+        reports = tuple(map(fn, graphs))
     elapsed = time.perf_counter() - started
-    return SuiteReport(source, ids, tuple(reports), elapsed)
+    return SuiteReport(source, ids, reports, elapsed)
 
 
 def suite_over_order(

@@ -148,6 +148,13 @@ class TestVerify:
         assert len(lines) == 6 * 11
         assert all(len(line.split("\t")) == 4 for line in lines)
 
+    def test_records_of_an_empty_corpus_print_nothing(self, capsys, tmp_path):
+        target = tmp_path / "empty.g6"
+        target.write_text("")
+        code, out, _ = run_cli(capsys, "verify", "--corpus", str(target), "--format", "records")
+        assert code == 0
+        assert out == ""
+
     def test_records_independent_of_jobs(self, capsys):
         _, serial, _ = run_cli(capsys, "verify", "--gen", "4", "--format", "records")
         _, fanned, _ = run_cli(

@@ -1,13 +1,15 @@
 """Golden CLI outputs over the order-7 stream.
 
-The digests pin the exact stdout of `verify --format records`, `dim` in
-both modes and `scan`, so refactors of the solver, the checks or the input
-parsing must keep every byte (ids, floors, witnesses, verdicts) the same.
+The digests pin the exact stdout of `verify` in both formats (the human
+table with its `elapsed:` figure masked), `dim` in both modes and `scan`,
+so refactors of the solver, the checks or the input parsing must keep
+every byte (ids, floors, witnesses, verdicts) the same.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 
 import pytest
 
@@ -16,10 +18,13 @@ from locdim.enumeration import connected_graphs
 from locdim.graphs import GRAPH6_HEADER, to_graph6
 
 
-def stdout_sha256(capsys, *argv: str) -> str:
+def stdout_sha256(capsys, *argv: str, mask: tuple[str, str] | None = None) -> str:
     capsys.readouterr()
     assert main(list(argv)) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    out = capsys.readouterr().out
+    if mask is not None:
+        out = re.sub(*mask, out)
+    return hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +43,14 @@ def order_seven_file(tmp_path_factory):
 def test_verify_records_gen_seven(capsys):
     assert stdout_sha256(capsys, "verify", "--gen", "7", "--format", "records") == (
         "01d79503ff8a0f4747602e7b9c5c08835e82f02f9b96de87babb5a7e61d3d10b"
+    )
+
+
+def test_verify_text_gen_seven(capsys):
+    # wall time is the one figure that may differ between runs
+    mask = (r"elapsed: [0-9.]+s", "elapsed: ?s")
+    assert stdout_sha256(capsys, "verify", "--gen", "7", mask=mask) == (
+        "5075b3e3f3594daa34f71b281b50dff0651288c3b7a6e16a62f355af3988be7d"
     )
 
 

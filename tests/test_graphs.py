@@ -6,6 +6,8 @@ format definition, sharing no code with the package.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -93,6 +95,43 @@ class TestConstruction:
     def test_row_mentions_missing_vertex(self):
         with pytest.raises(ValueError, match="mentions a vertex"):
             Graph(2, (4, 0))
+
+    def test_validation_reports_the_first_fault_in_row_order(self):
+        """The one-pass check accepts exactly the rows a full scan accepts,
+        and a rejection names the first fault a full scan meets."""
+
+        def first_fault(n, rows):
+            for v, row in enumerate(rows):
+                if row >> n:
+                    return f"adjacency row {v} mentions a vertex >= {n}"
+                if (row >> v) & 1:
+                    return f"self-loop at vertex {v}"
+                for u in range(n):
+                    if (row >> u) & 1 and not (rows[u] >> v) & 1:
+                        return f"asymmetric adjacency between {u} and {v}"
+            return None
+
+        rng = random.Random(5)
+        faults = set()
+        for _ in range(3000):
+            n = rng.randint(1, 8)
+            rows = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < 0.5:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+            for _ in range(rng.randint(0, 3)):
+                rows[rng.randrange(n)] ^= 1 << rng.randrange(n + 1)
+            expected = first_fault(n, rows)
+            if expected is None:
+                assert Graph(n, tuple(rows)).adj == tuple(rows)
+                continue
+            with pytest.raises(ValueError) as info:
+                Graph(n, tuple(rows))
+            assert str(info.value) == expected
+            faults.add(expected.split()[0])
+        assert faults == {"adjacency", "self-loop", "asymmetric"}
 
     def test_wrong_row_count(self):
         with pytest.raises(ValueError, match="adjacency rows"):

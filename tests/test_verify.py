@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 import locdim.kernels
+import locdim.verify as verify_mod
 from locdim.enumeration import canonical_key, connected_graphs
 from locdim.families import (
     complete,
@@ -17,6 +20,7 @@ from locdim.families import (
 from locdim.graphs import build, is_triangle_free
 from locdim.verify import (
     CHECK_IDS,
+    CHECKS,
     CheckResult,
     GraphFacts,
     SuiteReport,
@@ -196,9 +200,7 @@ class TestSuite:
 
     def test_violation_reporting(self):
         # a synthetic failing result must surface in every view
-        bad = TheoremReport(
-            "X?", 3, (CheckResult("C1", True, False, "dim_local=9 complete=False"),)
-        )
+        bad = TheoremReport("X?", 3, ("C1",), 0b1, 0b0, ("dim_local=9 complete=False",))
         report = SuiteReport("synthetic", ("C1",), (bad,), 0.0)
         assert not report.ok
         assert report.violations == (("X?", "C1", "dim_local=9 complete=False"),)
@@ -206,10 +208,80 @@ class TestSuite:
         assert report.to_records() == ["X?\tC1\t1\t0"]
 
     def test_inapplicable_is_not_a_violation(self):
-        rep = TheoremReport(
-            "X?", 3, (CheckResult("C6", False, True, "premise not met"),)
-        )
+        rep = TheoremReport("X?", 3, ("C6",), 0b0, 0b1, ("premise not met",))
         assert rep.violations == ()
+
+    def test_mixed_verdicts_in_every_view(self):
+        """Three graphs, two checks, failures on both: the table counts,
+        the sorted violation list and the records are pinned."""
+        # bit 0 is C1, bit 1 is C6
+        reps = (
+            TheoremReport("X?", 3, ("C1", "C6"), 0b01, 0b10, ("d1", "premise not met")),
+            TheoremReport("W?", 3, ("C1", "C6"), 0b11, 0b01, ("ok", "d6")),
+            TheoremReport("A?", 3, ("C1", "C6"), 0b11, 0b10, ("d1b", "fine")),
+        )
+        report = SuiteReport("synthetic", ("C1", "C6"), reps, 1.5)
+        assert report.to_text() == (
+            "source: synthetic\n"
+            "graphs: 3  checks: 2  elapsed: 1.50s\n"
+            "check  applicable      holds violations\n"
+            "C1              3          1          2\n"
+            "C6              2          1          1\n"
+            "violations: 3\n"
+            "  A?  C1  d1b\n"
+            "  W?  C6  d6\n"
+            "  X?  C1  d1"
+        )
+        assert report.to_records() == [
+            "X?\tC1\t1\t0", "X?\tC6\t0\t1",
+            "W?\tC1\t1\t1", "W?\tC6\t1\t0",
+            "A?\tC1\t1\t0", "A?\tC6\t1\t1",
+        ]
+        assert [v.check_id for v in reps[0].violations] == ["C1"]
+        assert reps[1].violations == (CheckResult("C6", True, False, "d6"),)
+
+    def test_pool_returns_equal_reports(self):
+        serial = run_suite(connected_graphs(6), jobs=1, source="x")
+        fanned = run_suite(connected_graphs(6), jobs=2, source="x")
+        assert serial.reports == fanned.reports
+        assert serial.to_text().split("\n")[2:] == fanned.to_text().split("\n")[2:]
+
+    def test_serial_run_consumes_its_input_lazily(self, monkeypatch):
+        drawn = []
+
+        def stream():
+            for g in connected_graphs(4):
+                drawn.append(g)
+                yield g
+
+        def check_as_drawn(g, checks=None):
+            # each graph is checked before the next one is drawn
+            assert drawn[-1] is g
+            return check_graph(g, checks)
+
+        monkeypatch.setattr(verify_mod, "check_graph", check_as_drawn)
+        assert run_suite(stream(), jobs=1).graph_count == len(drawn) == 6
+
+
+class TestReportData:
+    def test_pickle_carries_no_check_objects(self):
+        rep = check_graph(gamma1())
+        data = pickle.dumps(rep)
+        assert b"CheckResult" not in data
+        back = pickle.loads(data)
+        assert type(back) is TheoremReport and back == rep
+        assert back.results == rep.results
+
+    def test_results_view_matches_the_check_functions(self):
+        for n in range(3, 8):
+            for g in connected_graphs(n):
+                facts = GraphFacts(g)
+                direct = tuple(CheckResult(c.check_id, *c.fn(facts)) for c in CHECKS)
+                rep = check_graph(g)
+                assert rep.results == direct
+                assert rep.violations == tuple(
+                    r for r in direct if r.applicable and not r.holds
+                )
 
 
 class TestFamilyTable:
