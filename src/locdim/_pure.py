@@ -1,10 +1,13 @@
 """Pure-Python search kernels.
 
-Reference implementations of the five kernels the package runs hot: maximum
-clique, minimum hitting set, canonical labeling, the early-exit canonicity
-test of orderly generation, and induced-subgraph embedding. The compiled
-twin (locdim._speedups) ports each of them to C with identical outputs;
-locdim.kernels picks a backend at import time. Graphs
+Reference implementations of the five kernels the package runs hot:
+max_clique returns the clique number; min_hitting_set the minimum hitting
+set size with its lexicographically smallest witness mask; canonical_bits
+the least upper-triangle bit string over all relabelings; is_canonical
+whether given bits are that string, with an early exit for orderly
+generation; induced_embedding the first induced copy of a pattern, or
+None. The compiled twin (locdim._speedups) ports each of them to C with
+identical outputs; locdim.kernels picks a backend at import time. Graphs
 arrive as adjacency rows packed into ints, bit v of adj[u] set iff uv is an
 edge.
 """
@@ -55,34 +58,13 @@ def _clique_expand(adj: Sequence[int], size: int, cand: int, best: int) -> int:
     return best
 
 
-def max_clique(n: int, adj: Sequence[int]) -> tuple[int, int]:
-    """Exact maximum clique.
-
-    Returns (size, witness_mask). Among all maximum cliques the witness is
-    the smallest when compared as a sorted vertex tuple; it is rebuilt
-    greedily with one feasibility probe per vertex once the size is known.
-    """
+def max_clique(n: int, adj: Sequence[int]) -> int:
+    """Exact clique number: the size of a largest clique, 0 when n <= 0."""
     if n > 62:
         raise ValueError(f"vertex count must be at most 62, got {n}")
     if n <= 0:
-        return 0, 0
-    full = (1 << n) - 1
-    size = _clique_expand(adj, 0, full, 0)
-    witness = 0
-    have = 0
-    cand = full
-    for v in range(n):
-        if have == size:
-            break
-        if not (cand >> v) & 1:
-            continue
-        need = size - have - 1
-        sub = cand & adj[v]
-        if need == 0 or _clique_expand(adj, 0, sub, need - 1) >= need:
-            witness |= 1 << v
-            have += 1
-            cand = sub
-    return size, witness
+        return 0
+    return _clique_expand(adj, 0, (1 << n) - 1, 0)
 
 
 def _pack_bound(cons: list[int]) -> int:

@@ -1,12 +1,15 @@
 /* Compiled search kernels: C ports of locdim._pure.
 
    The same five kernels on uint64_t masks, each the same algorithm as its
-   _pure twin and returning the same values: max_clique, min_hitting_set,
-   canonical_bits, is_canonical and induced_embedding. The docstrings in
-   _pure.py describe the searches; the comments here cover what the port
-   changes. Vertex counts and universes never exceed 62, so a mask fits
-   one word; every fixed-size array is guarded by the range check that
-   raises ValueError. locdim.kernels picks a backend at import time.
+   _pure twin and returning the same values: max_clique the clique number,
+   min_hitting_set the size and lex-smallest witness mask, canonical_bits
+   the least upper-triangle bit string, is_canonical whether given bits are
+   that string, and induced_embedding the first induced copy or None. The
+   docstrings in _pure.py describe the searches; the comments here cover
+   what the port changes. Vertex counts and universes never exceed 62, so
+   a mask fits one word; every fixed-size array is guarded by the range
+   check that raises ValueError. locdim.kernels picks a backend at import
+   time.
 
    setup.py builds this file as locdim._speedups when a C compiler exists.
    By hand:
@@ -116,23 +119,10 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
         return PyErr_Format(PyExc_ValueError,
                             "vertex count must be at most 62, got %d", n);
     if (n <= 0)
-        return Py_BuildValue("(iK)", 0, 0ULL);
+        return PyLong_FromLong(0);
     if (read_masks(adj_seq, n, adj, MASK_CAP) < 0)
         return NULL;
-    uint64_t full = BIT(n) - 1, witness = 0, cand = full;
-    int size = clique_expand(adj, 0, full, 0), have = 0;
-    for (int v = 0; v < n && have < size; v++) {
-        if (!((cand >> v) & 1))
-            continue;
-        int need = size - have - 1;
-        uint64_t sub = cand & adj[v];
-        if (need == 0 || clique_expand(adj, 0, sub, need - 1) >= need) {
-            witness |= BIT(v);
-            have++;
-            cand = sub;
-        }
-    }
-    return Py_BuildValue("(iK)", size, (unsigned long long)witness);
+    return PyLong_FromLong(clique_expand(adj, 0, BIT(n) - 1, 0));
 }
 
 /* ----------------------------------------------------------- hitting set */
@@ -632,9 +622,9 @@ induced_embedding(PyObject *self, PyObject *args, PyObject *kwargs)
 
 static PyMethodDef methods[] = {
     KERNEL(max_clique,
-           "max_clique(n, adj) -> (size, witness_mask)\n\n"
-           "Exact maximum clique with the lexicographically smallest\n"
-           "witness."),
+           "max_clique(n, adj) -> size\n\n"
+           "Exact clique number: the size of a largest clique, 0 when\n"
+           "n <= 0."),
     KERNEL(min_hitting_set,
            "min_hitting_set(universe, constraints, lower_bound=0)"
            " -> (size, witness_mask)\n\n"

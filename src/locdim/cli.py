@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 
 from . import verify as verify_mod
 from .dimension import local_metric_dimension, metric_dimension
@@ -91,13 +92,15 @@ def _input_graphs(args) -> list[tuple[str, Graph]]:
     return [(to_graph6(g), g) for g in parse_corpus(text, strict=True).graphs]
 
 
-def _suite_source(args) -> list[Graph]:
+def _suite_source(args) -> Iterable[Graph]:
+    """The class stream as a generator, or the corpus graphs; a serial run
+    checks each graph as it is drawn."""
     if args.gen is not None:
-        return list(connected_graphs(args.gen))
+        return connected_graphs(args.gen)
     corpus = read_corpus(args.corpus, strict=args.strict)
     for err in corpus.errors:
         print(f"warning: {args.corpus}: {err}", file=sys.stderr)
-    return list(corpus.graphs)
+    return corpus.graphs
 
 
 def _cmd_dim(args) -> int:
@@ -179,7 +182,8 @@ def _cmd_refute(args) -> int:
 def _add_source_flags(sub, with_strict: bool = True) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--gen", type=_gen_order, metavar="N",
-                       help="stream every connected graph of order N (3..8)")
+                       help="stream every connected graph of order N"
+                            f" (3..{CANONICAL_MAX_VERTICES})")
     group.add_argument("--corpus", metavar="PATH",
                        help="graph6 file, one graph per line")
     if with_strict:

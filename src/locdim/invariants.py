@@ -5,18 +5,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .graphs import Graph, bit_indices
+from .graphs import Graph
 
 
 def max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact clique number with one witness clique (the lexicographically
-    smallest maximum clique as a sorted vertex tuple)."""
-    size, mask = kernels.max_clique(g.n, g.adj)
-    return size, tuple(bit_indices(mask))
+    smallest maximum clique as a sorted vertex tuple). The witness is
+    rebuilt greedily: v joins when its neighbors among the candidates hold
+    a clique of the size left to fill, probed by one kernel call on the rows
+    masked to them. An empty mask fails first, since all-zero rows still
+    have clique number 1; a full witness leaves no candidates."""
+    size = kernels.max_clique(g.n, g.adj)
+    witness: list[int] = []
+    cand = (1 << g.n) - 1
+    for v in range(g.n):
+        need = size - len(witness) - 1
+        sub = cand & g.adj[v]
+        if cand >> v & 1 and (need == 0 or sub and kernels.max_clique(
+            g.n, [row & sub if sub >> u & 1 else 0 for u, row in enumerate(g.adj)]
+        ) >= need):
+            witness.append(v)
+            cand = sub
+    return size, tuple(witness)
 
 
 def clique_number(g: Graph) -> int:
-    return kernels.max_clique(g.n, g.adj)[0]
+    return kernels.max_clique(g.n, g.adj)
 
 
 @dataclass(frozen=True)

@@ -149,21 +149,25 @@ _NOT_APPLICABLE = "premise not met"
 
 
 def _c1(f: GraphFacts) -> tuple[bool, bool, str]:
+    """C1: dim_local = n-1 exactly for complete graphs."""
     ok = (f.dim_local == f.n - 1) == f.is_complete
     return True, ok, f"dim_local={f.dim_local} complete={f.is_complete}"
 
 
 def _c2(f: GraphFacts) -> tuple[bool, bool, str]:
+    """C2: dim_local = n-2 exactly when the clique number is n-1."""
     ok = (f.dim_local == f.n - 2) == (f.omega == f.n - 1)
     return True, ok, f"dim_local={f.dim_local} omega={f.omega}"
 
 
 def _c3(f: GraphFacts) -> tuple[bool, bool, str]:
+    """C3: dim_local = 1 exactly for bipartite graphs."""
     ok = (f.dim_local == 1) == f.bipartite
     return True, ok, f"dim_local={f.dim_local} bipartite={f.bipartite}"
 
 
 def _c4(f: GraphFacts) -> tuple[bool, bool, str]:
+    """C4: dim_local >= ceil(log2 omega) and >= n - 2**(n-omega)."""
     log_floor = f.local.bounds.log_clique
     gap_floor = f.local.bounds.gap_raw
     ok = f.dim_local >= log_floor and f.dim_local >= gap_floor
@@ -171,12 +175,14 @@ def _c4(f: GraphFacts) -> tuple[bool, bool, str]:
 
 
 def _c5(f: GraphFacts) -> tuple[bool, bool, str]:
+    """C5: dim_local >= n minus the number of true-twin classes."""
     floor = f.local.bounds.twin
     ok = f.dim_local >= floor
     return True, ok, f"dim_local={f.dim_local} twin_floor={floor}"
 
 
 def _c6(f: GraphFacts) -> tuple[bool, bool, str]:
+    """C6: triangle-free: 5*dim_local <= 2*n."""
     if not f.triangle_free:
         return False, True, _NOT_APPLICABLE
     ok = 5 * f.dim_local <= 2 * f.n
@@ -184,6 +190,7 @@ def _c6(f: GraphFacts) -> tuple[bool, bool, str]:
 
 
 def _c7(f: GraphFacts) -> tuple[bool, bool, str]:
+    """C7: omega <= n-3: dim_local <= n-3, equality only on the extremal family."""
     if f.n < 5 or f.omega > f.n - 3:
         return False, True, _NOT_APPLICABLE
     member = f.is_cycle5 or f.is_split_extremal
@@ -192,6 +199,7 @@ def _c7(f: GraphFacts) -> tuple[bool, bool, str]:
 
 
 def _c8(f: GraphFacts) -> tuple[bool, bool, str]:
+    """C8: clique-regime bounds for omega in {n, n-1, n-2, n-3}."""
     gap = f.n - f.omega
     if gap > 3:
         return False, True, _NOT_APPLICABLE
@@ -207,6 +215,7 @@ def _c8(f: GraphFacts) -> tuple[bool, bool, str]:
 
 
 def _c9(f: GraphFacts) -> tuple[bool, bool, str]:
+    """C9: dim_local = n-3 classification (three cases)."""
     if f.n < 5:
         return False, True, _NOT_APPLICABLE
     member = f.classified_n_minus_3
@@ -215,6 +224,7 @@ def _c9(f: GraphFacts) -> tuple[bool, bool, str]:
 
 
 def _c10(f: GraphFacts) -> tuple[bool, bool, str]:
+    """C10: omega = n-2: dim_local in {n-4, n-3}, split by gamma-freeness."""
     if f.n < 5 or f.omega != f.n - 2:
         return False, True, _NOT_APPLICABLE
     in_range = f.n - 4 <= f.dim_local <= f.n - 3
@@ -225,34 +235,27 @@ def _c10(f: GraphFacts) -> tuple[bool, bool, str]:
 
 
 def _c11(f: GraphFacts) -> tuple[bool, bool, str]:
+    """C11: omega in {n-1, n-2, n-3}: dim_local*(omega-1) <= (omega-2)*n."""
     if f.omega < max(f.n - 3, 3) or f.omega > f.n - 1:
         return False, True, _NOT_APPLICABLE
     return (True, *_clique_ratio(f.dim_local, f.omega, f.n))
 
 
-@dataclass(frozen=True)
-class CheckDef:
-    check_id: str
-    label: str
-    fn: Callable[[GraphFacts], tuple[bool, bool, str]]
+CHECKS: dict[str, Callable[[GraphFacts], tuple[bool, bool, str]]] = {
+    "C1": _c1,
+    "C2": _c2,
+    "C3": _c3,
+    "C4": _c4,
+    "C5": _c5,
+    "C6": _c6,
+    "C7": _c7,
+    "C8": _c8,
+    "C9": _c9,
+    "C10": _c10,
+    "C11": _c11,
+}
 
-
-CHECKS: tuple[CheckDef, ...] = (
-    CheckDef("C1", "dim_local = n-1 exactly for complete graphs", _c1),
-    CheckDef("C2", "dim_local = n-2 exactly when the clique number is n-1", _c2),
-    CheckDef("C3", "dim_local = 1 exactly for bipartite graphs", _c3),
-    CheckDef("C4", "dim_local >= ceil(log2 omega) and >= n - 2**(n-omega)", _c4),
-    CheckDef("C5", "dim_local >= n minus the number of true-twin classes", _c5),
-    CheckDef("C6", "triangle-free: 5*dim_local <= 2*n", _c6),
-    CheckDef("C7", "omega <= n-3: dim_local <= n-3, equality only on the extremal family", _c7),
-    CheckDef("C8", "clique-regime bounds for omega in {n, n-1, n-2, n-3}", _c8),
-    CheckDef("C9", "dim_local = n-3 classification (three cases)", _c9),
-    CheckDef("C10", "omega = n-2: dim_local in {n-4, n-3}, split by gamma-freeness", _c10),
-    CheckDef("C11", "omega in {n-1, n-2, n-3}: dim_local*(omega-1) <= (omega-2)*n", _c11),
-)
-
-CHECK_IDS: tuple[str, ...] = tuple(c.check_id for c in CHECKS)
-_CHECK_BY_ID = {c.check_id: c for c in CHECKS}
+CHECK_IDS: tuple[str, ...] = tuple(CHECKS)
 
 
 def normalize_checks(checks: Iterable[str] | None) -> tuple[str, ...]:
@@ -261,7 +264,7 @@ def normalize_checks(checks: Iterable[str] | None) -> tuple[str, ...]:
         return CHECK_IDS
     requested = set()
     for cid in checks:
-        if cid not in _CHECK_BY_ID:
+        if cid not in CHECKS:
             raise ValueError(f"unknown check id {cid!r}; known: {', '.join(CHECK_IDS)}")
         requested.add(cid)
     return tuple(cid for cid in CHECK_IDS if cid in requested)
@@ -276,7 +279,7 @@ def check_graph(g: Graph, checks: Sequence[str] | None = None) -> TheoremReport:
     applicable = holds = 0
     details = []
     for i, cid in enumerate(ids):
-        a, h, text = _CHECK_BY_ID[cid].fn(facts)
+        a, h, text = CHECKS[cid](facts)
         applicable |= a << i
         holds |= h << i
         details.append(text)

@@ -83,6 +83,8 @@ def test_out_of_range_input_rejected(impl, call):
 
 
 def test_max_clique_agreement(compiled):
+    """Clique numbers; the witness is rebuilt outside the kernels and is
+    checked on both backends in test_invariants."""
     rng = random.Random(SEED)
     for _ in range(300):
         n = rng.randint(1, 12)

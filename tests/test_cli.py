@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+from locdim import cli
+from locdim import verify as verify_mod
 from locdim.cli import _build_parser, _gen_order, main
-from locdim.enumeration import connected_graphs
+from locdim.enumeration import CANONICAL_MAX_VERTICES, connected_graphs
 from locdim.graphs import to_graph6
 
 
@@ -162,6 +164,28 @@ class TestVerify:
         )
         assert serial == fanned
 
+    def test_serial_gen_run_checks_each_graph_as_drawn(self, capsys, monkeypatch):
+        drawn = []
+
+        def stream(n):
+            for g in connected_graphs(n):
+                drawn.append(g)
+                yield g
+
+        check_graph = verify_mod.check_graph
+
+        def check_as_drawn(g, checks=None):
+            # each graph is checked before the next one is drawn
+            assert drawn[-1] is g
+            return check_graph(g, checks)
+
+        monkeypatch.setattr(cli, "connected_graphs", stream)
+        monkeypatch.setattr(verify_mod, "check_graph", check_as_drawn)
+        code, out, _ = run_cli(capsys, "verify", "--gen", "4", "--format", "records")
+        assert code == 0
+        assert len(drawn) == 6
+        assert len(out.splitlines()) == 6 * 11
+
     def test_jobs_defaults_to_one(self):
         assert _build_parser().parse_args(["verify", "--gen", "3"]).jobs == 1
 
@@ -245,6 +269,17 @@ class TestUsageErrors:
             main(["verify", "--gen", "9"])
         err = capsys.readouterr().err
         assert "3..8 allowed" in err
+
+    def test_gen_help_names_the_order_cap(self, capsys, monkeypatch):
+        # the help reads the cap, so lifting it changes one constant
+        for top in (CANONICAL_MAX_VERTICES, CANONICAL_MAX_VERTICES + 1):
+            monkeypatch.setattr(cli, "CANONICAL_MAX_VERTICES", top)
+            for verb in ("verify", "scan"):
+                with pytest.raises(SystemExit) as exc:
+                    main([verb, "--help"])
+                assert exc.value.code == 0
+                help_text = " ".join(capsys.readouterr().out.split())
+                assert f"order N (3..{top})" in help_text
 
     def test_gen_reaches_order_eight(self):
         assert _gen_order("8") == 8

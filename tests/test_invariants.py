@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from conftest import naive_clique, stream_upto
 
+from locdim import kernels
 from locdim.dimension import lower_bounds
 from locdim.enumeration import connected_graphs
 from locdim.families import complete, complete_minus_bipartite, cycle, path
@@ -39,6 +41,39 @@ class TestClique:
             nsize, nwitness = naive_clique(g)
             assert size == nsize
             assert witness == nwitness
+
+
+@pytest.fixture
+def clique_kernel(impl, monkeypatch):
+    """Point kernels.max_clique, which the witness rebuild probes, at each
+    backend in turn."""
+    monkeypatch.setattr(kernels, "max_clique", impl.max_clique)
+    return impl
+
+
+class TestCliqueWitness:
+    """The witness is rebuilt in invariants.max_clique from clique-number
+    probes; subset search is the oracle, on both kernel backends."""
+
+    def test_isolated_vertex_before_the_clique(self, clique_kernel):
+        # vertex 0 has no neighbors, so its probe has an empty candidate
+        # mask; all-zero rows would still report clique number 1
+        assert max_clique(build(3, [(1, 2)])) == (2, (1, 2))
+
+    def test_every_labeled_graph_up_to_five(self, clique_kernel):
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                g = build(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+                assert max_clique(g) == naive_clique(g), g.edges()
+
+    def test_seeded_random_graphs_up_to_ten(self, clique_kernel):
+        rng = random.Random(0xC1)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            p = rng.uniform(0.1, 0.9)
+            g = build(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            assert max_clique(g) == naive_clique(g), g.edges()
 
 
 class TestTwins:

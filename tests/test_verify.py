@@ -276,7 +276,7 @@ class TestReportData:
         for n in range(3, 8):
             for g in connected_graphs(n):
                 facts = GraphFacts(g)
-                direct = tuple(CheckResult(c.check_id, *c.fn(facts)) for c in CHECKS)
+                direct = tuple(CheckResult(cid, *fn(facts)) for cid, fn in CHECKS.items())
                 rep = check_graph(g)
                 assert rep.results == direct
                 assert rep.violations == tuple(
