@@ -2,14 +2,13 @@
 
 Reference implementations of the five kernels the package runs hot:
 max_clique returns the clique number; min_hitting_set the minimum hitting
-set size with its lexicographically smallest witness mask; canonical_bits
-the least upper-triangle bit string over all relabelings; is_canonical
-whether given bits are that string, with an early exit for orderly
-generation; induced_embedding the first induced copy of a pattern, or
-None. The compiled twin (locdim._speedups) ports each of them to C with
-identical outputs; locdim.kernels picks a backend at import time. Graphs
-arrive as adjacency rows packed into ints, bit v of adj[u] set iff uv is an
-edge.
+set size; canonical_bits the least upper-triangle bit string over all
+relabelings; is_canonical whether given bits are that string, with an
+early exit for orderly generation; induced_embedding the first induced
+copy of a pattern, or None. The compiled twin (locdim._speedups) ports
+each of them to C with identical outputs; locdim.kernels picks a backend
+at import time. Graphs arrive as adjacency rows packed into ints, bit v of
+adj[u] set iff uv is an edge.
 """
 
 from __future__ import annotations
@@ -113,92 +112,77 @@ def _least(rem: list[int], chosen: int, best: int, floor: int) -> int:
 
 def min_hitting_set(
     universe: int, constraints: Sequence[int], lower_bound: int = 0
-) -> tuple[int, int]:
-    """Exact minimum hitting set over bitmask constraints.
+) -> int:
+    """Exact minimum hitting set size over bitmask constraints.
 
     Ground elements are bits 0..universe-1. `lower_bound` must be a valid
-    bound for the instance; the search stops as soon as it is met. Returns
-    (size, witness_mask) where the witness is the lexicographically smallest
-    optimal set under sorted-tuple comparison.
+    bound for the instance; the search stops as soon as it is met.
 
     Only the inclusion-minimal constraints matter, since hitting a subset
     hits every superset. They are found by one pass in (size, value) order
     that keeps a constraint when no kept constraint is a subset of it: a
     proper subset is strictly smaller, so it comes first, and a subset of a
-    dropped constraint is itself a superset of a kept one.
+    dropped constraint is itself a superset of a kept one. The pass keeps a
+    containment index, bit i of contain[v] set when kept constraint i holds
+    v: a kept constraint is a subset of c exactly when it holds no element
+    outside c, so c is kept when the index ORed over those elements covers
+    every kept constraint. Elements in no constraint add nothing to the OR,
+    and the OR stops once it covers everything.
 
-    One branch-and-bound, _least, finds the value and answers every probe
-    of the witness rebuild. It branches on the elements of the smallest
-    remaining constraint, in ascending order, with exclusion: once the
-    subtree that takes v has been searched, every hitting set that contains
-    v has been seen, so v is deleted from the remaining constraints before
-    the next sibling. The siblings stop when a constraint becomes empty.
-    The restricted constraints are re-sorted by size, so a size-1
-    constraint gives a single forced branch in the child (unit
-    propagation), and the disjoint-packing bound, re-checked after each
-    deletion, is tighter on the smaller constraints. The siblings partition
-    the hitting sets below the node, so no optimum is lost.
+    One branch-and-bound, _least, finds the value. It branches on the
+    elements of the smallest remaining constraint, in ascending order, with
+    exclusion: once the subtree that takes v has been searched, every
+    hitting set that contains v has been seen, so v is deleted from the
+    remaining constraints before the next sibling. The siblings stop when a
+    constraint becomes empty. The restricted constraints are re-sorted by
+    size, so a size-1 constraint gives a single forced branch in the child
+    (unit propagation), and the disjoint-packing bound, re-checked after
+    each deletion, is tighter on the smaller constraints. The siblings
+    partition the hitting sets below the node, so no optimum is lost.
 
-    The value search starts from the greedy cover's size (most hits first)
-    and stops at the floor: the largest of lower_bound, 1 and the packing
-    bound. The witness is then rebuilt one element at a time: v is taken
-    when the constraints it leaves unhit, restricted to the elements after
-    v, have a hitting set within the budget B still open. That probe is the
-    same search started with best = B + 1 and floor = B. Its prune, chosen
-    plus the packing bound reaching B + 1, says the budget is exceeded, and
-    the first hitting set it finds has size at most B, which ends it.
+    The search starts from the greedy cover's size (most hits first, ties
+    to the smaller element) and stops at the floor: the largest of
+    lower_bound, 1 and the packing bound.
     """
     if not 0 <= universe <= 62:
         raise ValueError(f"universe size must be in 0..62, got {universe}")
     uniq = sorted({int(c) for c in constraints})
     if not uniq:
-        return 0, 0
+        return 0
     if uniq[0] == 0:
         raise ValueError("unsatisfiable constraint system: empty constraint")
     if uniq[-1] >> universe:
         raise ValueError("constraint mentions an element outside the universe")
+    support = 0
+    for c in uniq:
+        support |= c
     cons: list[int] = []
+    contain = [0] * universe
+    kept = 0  # bit i set for every kept constraint i
     for c in sorted(uniq, key=int.bit_count):
-        if all(k & ~c for k in cons):
+        outside = 0
+        rest = support & ~c
+        while rest and outside != kept:
+            low = rest & -rest
+            outside |= contain[low.bit_length() - 1]
+            rest ^= low
+        if outside == kept:
+            bit = kept + 1  # the next constraint's bit
+            kept |= bit
+            for v in bit_indices(c):
+                contain[v] |= bit
             cons.append(c)
     floor = max(lower_bound, 1, _pack_bound(cons))
 
     # greedy cover (most-hits-first) for the initial upper bound
-    best_size = 0
-    rem = cons
-    while rem:
-        counts: dict[int, int] = {}
-        for c in rem:
-            for v in bit_indices(c):
-                counts[v] = counts.get(v, 0) + 1
-        v = min(counts, key=lambda u: (-counts[u], u))
-        best_size += 1
-        rem = [c for c in rem if not (c >> v) & 1]
-
-    k = _least(cons, 0, best_size, floor)
-
-    full = (1 << universe) - 1
-    witness = 0
-    count = 0
-    rem = cons
-    start = 0
-    while rem:
-        for v in range(start, universe):
-            nrem = [c for c in rem if not (c >> v) & 1]
-            allowed = (full >> (v + 1)) << (v + 1)
-            restricted = sorted([c & allowed for c in nrem], key=int.bit_count)
-            budget = k - count - 1
-            if (not restricted or restricted[0]) and _least(
-                restricted, 0, budget + 1, budget
-            ) <= budget:
-                witness |= 1 << v
-                count += 1
-                rem = nrem
-                start = v + 1
-                break
-        else:
-            raise AssertionError("hitting-set witness reconstruction failed")
-    return k, witness
+    elements = list(bit_indices(support))
+    greedy = 0
+    alive = kept
+    while alive:
+        v = max(elements, key=lambda u: ((contain[u] & alive).bit_count(), -u))
+        alive &= ~contain[v]
+        greedy += 1
+    return _least(cons, 0, greedy, floor)
 
 
 def _least_string(n: int, adj: Sequence[int], own: int) -> int:

@@ -2,9 +2,9 @@
 
    The same five kernels on uint64_t masks, each the same algorithm as its
    _pure twin and returning the same values: max_clique the clique number,
-   min_hitting_set the size and lex-smallest witness mask, canonical_bits
-   the least upper-triangle bit string, is_canonical whether given bits are
-   that string, and induced_embedding the first induced copy or None. The
+   min_hitting_set the minimum hitting set size, canonical_bits the least
+   upper-triangle bit string, is_canonical whether given bits are that
+   string, and induced_embedding the first induced copy or None. The
    docstrings in _pure.py describe the searches; the comments here cover
    what the port changes. Vertex counts and universes never exceed 62, so
    a mask fits one word; every fixed-size array is guarded by the range
@@ -187,10 +187,10 @@ struct hitting {
     uint64_t *scratch;  /* room for every constraint, for sort_by_size */
 };
 
-/* _pure._least, with best and floor in h: the value search and every
-   witness probe. Each level owns its constraint array rem[0..k), which
-   exclude rewrites, and builds its children's arrays right after it, at
-   rem + k. The arena holds one array per level of the deepest branch. */
+/* _pure._least, with best and floor in h. Each level owns its constraint
+   array rem[0..k), which exclude rewrites, and builds its children's
+   arrays right after it, at rem + k. The arena holds one array per level
+   of the deepest branch. */
 static void
 hs_search(struct hitting *h, int chosen, uint64_t *rem, int k)
 {
@@ -242,19 +242,12 @@ greedy_cover(const uint64_t *cons, int k, uint64_t *work)
     return size;
 }
 
-/* The value search and the lex-smallest witness rebuild of _pure, on the
-   minimal constraints cons[0..k) in size order, which it overwrites. A
-   probe with budget B is hs_search from best = B + 1 down to floor = B. */
+/* The value search of _pure on the minimal constraints cons[0..k) in size
+   order, from the greedy cover's size down to the floor. */
 static PyObject *
-hs_solve(int universe, uint64_t *cons, int k, int lower_bound,
-         uint64_t *scratch)
+hs_solve(const uint64_t *cons, int k, int lower_bound, uint64_t *scratch)
 {
     int greedy = greedy_cover(cons, k, scratch);
-    /* the deepest branch takes fewer than greedy elements; two more arrays
-       for the rebuild's candidate and restricted constraints */
-    uint64_t *work = PyMem_Malloc((size_t)k * (greedy + 2) * sizeof *work);
-    if (work == NULL)
-        return PyErr_NoMemory();
     struct hitting h = {.floor = lower_bound, .best = greedy,
                         .scratch = scratch};
     int pack = pack_bound(cons, k);
@@ -263,49 +256,15 @@ hs_solve(int universe, uint64_t *cons, int k, int lower_bound,
     if (h.floor < pack)
         h.floor = pack;
     if (h.best > h.floor) {
+        /* the deepest branch takes fewer than greedy elements */
+        uint64_t *work = PyMem_Malloc((size_t)k * greedy * sizeof *work);
+        if (work == NULL)
+            return PyErr_NoMemory();
         memcpy(work, cons, (size_t)k * sizeof *cons);
         hs_search(&h, 0, work, k);
+        PyMem_Free(work);
     }
-
-    uint64_t full = BIT(universe) - 1, witness = 0;
-    uint64_t *cur = cons, *next = work, *restricted = work + k;
-    int count = 0, start = 0;
-    while (k) {
-        int v, nk = 0;
-        for (v = start; v < universe; v++) {
-            nk = unhit(cur, k, v, next);
-            uint64_t allowed = (full >> (v + 1)) << (v + 1);
-            int open = 1;
-            for (int i = 0; i < nk && open; i++) {
-                restricted[i] = next[i] & allowed;
-                open = restricted[i] != 0;
-            }
-            if (!open)
-                continue;
-            sort_by_size(restricted, nk, scratch);
-            int budget = h.best - count - 1;
-            struct hitting probe = {.floor = budget, .best = budget + 1,
-                                    .scratch = scratch};
-            hs_search(&probe, 0, restricted, nk);
-            if (probe.best <= budget)
-                break;
-        }
-        if (v == universe) {
-            PyMem_Free(work);
-            PyErr_SetString(PyExc_AssertionError,
-                            "hitting-set witness reconstruction failed");
-            return NULL;
-        }
-        witness |= BIT(v);
-        count++;
-        uint64_t *swap = cur;
-        cur = next;
-        next = swap;
-        k = nk;
-        start = v + 1;
-    }
-    PyMem_Free(work);
-    return Py_BuildValue("(iK)", h.best, (unsigned long long)witness);
+    return PyLong_FromLong(h.best);
 }
 
 static PyObject *
@@ -339,7 +298,7 @@ min_hitting_set(PyObject *self, PyObject *args, PyObject *kwargs)
     if (read_masks(fast, -1, cons, total) < 0)
         goto done;
     if (total == 0) {
-        result = Py_BuildValue("(iK)", 0, 0ULL);
+        result = PyLong_FromLong(0);
         goto done;
     }
     qsort(cons, (size_t)total, sizeof *cons, compare_masks);
@@ -367,7 +326,7 @@ min_hitting_set(PyObject *self, PyObject *args, PyObject *kwargs)
         if (j == kept)
             cons[kept++] = cons[i];
     }
-    result = hs_solve(universe, cons, kept, lower_bound, cons + total);
+    result = hs_solve(cons, kept, lower_bound, cons + total);
 done:
     Py_DECREF(fast);
     PyMem_Free(cons);
@@ -627,9 +586,9 @@ static PyMethodDef methods[] = {
            "n <= 0."),
     KERNEL(min_hitting_set,
            "min_hitting_set(universe, constraints, lower_bound=0)"
-           " -> (size, witness_mask)\n\n"
-           "Exact minimum hitting set with the lexicographically smallest\n"
-           "witness; lower_bound must be valid for the instance."),
+           " -> size\n\n"
+           "Exact minimum hitting set size; lower_bound must be valid for\n"
+           "the instance."),
     KERNEL(canonical_bits,
            "canonical_bits(n, adj) -> int\n\n"
            "Minimum upper-triangle bit string over all relabelings, n <= 11."),

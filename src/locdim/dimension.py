@@ -10,7 +10,7 @@ construction over all vertex pairs instead of edges.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import kernels
@@ -207,14 +207,59 @@ def _distinguisher_masks(g: Graph, mode: str) -> list[int]:
     return masks
 
 
+def _lex_witness(universe: int, masks: Sequence[int], size: int) -> int:
+    """The lexicographically smallest hitting set of `size` elements, as a
+    mask, for masks whose minimum hitting set has that size.
+
+    It is built one element at a time, ascending: v is taken when the
+    constraints it leaves unhit, restricted to the elements after v, have a
+    hitting set within the budget B = size - taken - 1. Each probe is one
+    kernel call with lower_bound B. B is a valid floor there: the elements
+    already taken, v and any hitting set of the restricted system together
+    hit every mask, so they number at least `size`. An empty system accepts
+    v and a spent budget with constraints left rejects it, without a call.
+    No restricted constraint is empty: while v is probed, some optimal set
+    extends the taken elements with elements from v on, so each constraint
+    v leaves unhit keeps an element after v.
+    """
+    witness = 0
+    taken = 0
+    rem = masks
+    start = 0
+    while rem:
+        for v in range(start, universe):
+            above = -2 << v  # the elements after v
+            # restricting makes duplicates; the kernel would drop them too
+            restricted = list({c & above for c in rem if not c >> v & 1})
+            budget = size - taken - 1
+            if not restricted or (
+                budget > 0 and kernels.min_hitting_set(universe, restricted, budget) <= budget
+            ):
+                witness |= 1 << v
+                taken += 1
+                rem = restricted
+                start = v + 1
+                break
+        else:
+            raise AssertionError("hitting-set witness reconstruction failed")
+    return witness
+
+
+def _local_value(g: Graph, bounds: LowerBounds) -> int:
+    """The local dimension alone, searched from lower_bounds(g): one kernel
+    call and no witness, for callers that read only the value."""
+    return kernels.min_hitting_set(g.n, _distinguisher_masks(g, "local"), bounds.best)
+
+
 def _solve(g: Graph, mode: str, bounds: LowerBounds) -> DimResult:
-    """The dimension in `mode`, searched from the floors lower_bounds(g)
-    returned; callers that need the clique number before deciding to solve
-    hand those bounds in, so it is computed once. lower_bounds has already
-    rejected a disconnected graph."""
+    """The dimension in `mode` and its witness, searched from the floors
+    lower_bounds(g) returned; callers that need the clique number before
+    deciding to solve hand those bounds in, so it is computed once.
+    lower_bounds has already rejected a disconnected graph."""
     masks = _distinguisher_masks(g, mode)
     # the floors hold for the local mode and the full mode dominates it
-    size, mask = kernels.min_hitting_set(g.n, masks, bounds.best)
+    size = kernels.min_hitting_set(g.n, masks, bounds.best)
+    mask = _lex_witness(g.n, masks, size)
     for i, c in enumerate(masks):
         if not c & mask:
             pair = distinguisher_sets(g, mode=mode).constraints[i].pair

@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dimension import _solve, local_metric_dimension, lower_bounds
+from .dimension import _local_value, local_metric_dimension, lower_bounds
 from .enumeration import CANONICAL_MAX_VERTICES, canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
 from .graphs import Graph, bit_indices, is_bipartite, to_graph6
@@ -65,10 +65,11 @@ class GraphFacts:
     def __init__(self, g: Graph):
         self.g = g
         self.n = g.n
-        self.local = local_metric_dimension(g)
-        self.dim_local = self.local.value
-        self.omega = self.local.bounds.omega
-        # read off the clique number the solve already computed
+        self.bounds = lower_bounds(g)
+        # the value alone: no check reads a witness
+        self.dim_local = _local_value(g, self.bounds)
+        self.omega = self.bounds.omega
+        # read off the clique number the floors already computed
         self.is_complete = self.omega == self.n
         self.triangle_free = self.omega <= 2
 
@@ -168,15 +169,15 @@ def _c3(f: GraphFacts) -> tuple[bool, bool, str]:
 
 def _c4(f: GraphFacts) -> tuple[bool, bool, str]:
     """C4: dim_local >= ceil(log2 omega) and >= n - 2**(n-omega)."""
-    log_floor = f.local.bounds.log_clique
-    gap_floor = f.local.bounds.gap_raw
+    log_floor = f.bounds.log_clique
+    gap_floor = f.bounds.gap_raw
     ok = f.dim_local >= log_floor and f.dim_local >= gap_floor
     return True, ok, f"dim_local={f.dim_local} log_floor={log_floor} gap_floor={gap_floor}"
 
 
 def _c5(f: GraphFacts) -> tuple[bool, bool, str]:
     """C5: dim_local >= n minus the number of true-twin classes."""
-    floor = f.local.bounds.twin
+    floor = f.bounds.twin
     ok = f.dim_local >= floor
     return True, ok, f"dim_local={f.dim_local} twin_floor={floor}"
 
@@ -272,9 +273,13 @@ def normalize_checks(checks: Iterable[str] | None) -> tuple[str, ...]:
 
 def check_graph(g: Graph, checks: Sequence[str] | None = None) -> TheoremReport:
     """Evaluate the selected checks on one connected graph with n >= 3."""
+    return _check_normalized(g, normalize_checks(checks))
+
+
+def _check_normalized(g: Graph, ids: tuple[str, ...]) -> TheoremReport:
+    """check_graph on check ids normalize_checks has already returned."""
     if g.n < 3:
         raise ValueError(f"checks need n >= 3, got n={g.n}")
-    ids = normalize_checks(checks)
     facts = GraphFacts(g)
     applicable = holds = 0
     details = []
@@ -372,7 +377,7 @@ def run_suite(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     ids = normalize_checks(checks)
-    fn = functools.partial(check_graph, checks=ids)
+    fn = functools.partial(_check_normalized, ids=ids)
     if jobs > 1:
         # the pool sizes its chunks from the count; a serial run checks
         # each graph as it is drawn and never holds the whole input
@@ -532,7 +537,8 @@ def scan_clique_ratio(
     """Exact-integer scan of dim_local*(omega-1) <= (omega-2)*n over graphs
     meeting the n >= omega+1 >= 4 gate; omega_values optionally narrows the
     clique numbers scanned. The gate reads omega from lower_bounds, and only
-    graphs that pass it are solved, from those same bounds."""
+    graphs that pass it are solved, for the value alone and from those same
+    bounds."""
     wanted = None if omega_values is None else set(omega_values)
     total = 0
     applicable = 0
@@ -546,7 +552,7 @@ def scan_clique_ratio(
         if wanted is not None and omega not in wanted:
             continue
         applicable += 1
-        dim_local = _solve(g, "local", bounds).value
+        dim_local = _local_value(g, bounds)
         holds, details = _clique_ratio(dim_local, omega, g.n)
         if not holds:
             violations.append((_graph_id(g), details))
@@ -583,8 +589,8 @@ def dimension_class_audit(n: int) -> AuditReport:
     against the predicted union: the 5-cycle, the clique-minus-biclique
     members with both blocks >= 2, and the gamma-free graphs with clique
     number n-2."""
-    if not 5 <= n <= 7:
-        raise ValueError(f"audit supports 5 <= n <= 7, got {n}")
+    if not 5 <= n <= CANONICAL_MAX_VERTICES:
+        raise ValueError(f"audit supports 5 <= n <= {CANONICAL_MAX_VERTICES}, got {n}")
     observed = []
     predicted = []
     for g in connected_graphs(n):

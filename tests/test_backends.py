@@ -15,8 +15,9 @@ import sys
 import pytest
 from conftest import random_connected, twin_rich_graphs
 
+import locdim.kernels
 from locdim import _pure
-from locdim.dimension import distinguisher_sets, lower_bounds
+from locdim.dimension import _lex_witness, distinguisher_sets, lower_bounds
 from locdim.families import gamma1, gamma2
 from locdim.graphs import triangle_bits
 
@@ -83,8 +84,9 @@ def test_out_of_range_input_rejected(impl, call):
 
 
 def test_max_clique_agreement(compiled):
-    """Clique numbers; the witness is rebuilt outside the kernels and is
-    checked on both backends in test_invariants."""
+    """Clique numbers; the clique witness is rebuilt outside the kernels,
+    in invariants.max_clique, and is checked on both backends in
+    test_invariants."""
     rng = random.Random(SEED)
     for _ in range(300):
         n = rng.randint(1, 12)
@@ -98,7 +100,8 @@ def test_max_clique_agreement(compiled):
 
 def _dense_systems() -> list[tuple[int, list[int], int]]:
     """Local and full systems of G(28, p) draws with the solver's real
-    floors: deep enough to reach the tree search and the witness rebuild."""
+    floors: deep enough to reach the tree search, in the value search and
+    in the witness rebuild's probes."""
     rng = random.Random(SEED + 5)
     systems = []
     for p in (0.6, 0.9):
@@ -110,7 +113,9 @@ def _dense_systems() -> list[tuple[int, list[int], int]]:
     return systems
 
 
-def test_min_hitting_set_agreement(compiled):
+def test_min_hitting_set_agreement(compiled, monkeypatch):
+    """Sizes, and the witness dimension._lex_witness rebuilds from each
+    backend's probes."""
     rng = random.Random(SEED + 1)
     cases = []
     for _ in range(300):
@@ -132,9 +137,13 @@ def test_min_hitting_set_agreement(compiled):
         cases.append((62, masks, rng.randint(0, 1)))
     cases += _dense_systems()
     for universe, masks, lb in cases:
-        assert _pure.min_hitting_set(universe, masks, lb) == compiled.min_hitting_set(
-            universe, masks, lb
-        ), (universe, masks, lb)
+        size = _pure.min_hitting_set(universe, masks, lb)
+        assert size == compiled.min_hitting_set(universe, masks, lb), (universe, masks, lb)
+        witnesses = []
+        for kernel in (_pure, compiled):
+            monkeypatch.setattr(locdim.kernels, "min_hitting_set", kernel.min_hitting_set)
+            witnesses.append(_lex_witness(universe, masks, size))
+        assert witnesses[0] == witnesses[1], (universe, masks)
 
 
 def test_canonical_bits_agreement(compiled):

@@ -10,10 +10,12 @@ from conftest import naive_dimension, naive_hitting_set, random_connected, strea
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locdim.kernels
 from locdim import _pure
 from locdim.dimension import (
     LowerBounds,
     _distinguisher_masks,
+    _lex_witness,
     distinguisher_sets,
     is_local_resolving,
     is_resolving,
@@ -246,34 +248,44 @@ class TestHittingSetValidation:
             impl.min_hitting_set(63, [1], 0)
 
     def test_no_constraints(self, impl):
-        assert impl.min_hitting_set(5, [], 0) == (0, 0)
+        assert impl.min_hitting_set(5, [], 0) == 0
 
 
 def _masks(*sets: tuple[int, ...]) -> list[int]:
     return [sum(1 << v for v in elements) for elements in sets]
 
 
+@pytest.fixture
+def kernel(impl, monkeypatch):
+    """Each backend in turn, also behind kernels.min_hitting_set, so the
+    witness rebuild's probes run on it."""
+    monkeypatch.setattr(locdim.kernels, "min_hitting_set", impl.min_hitting_set)
+    return impl
+
+
 class TestWitnessProbes:
     """Systems where the greedy cover is already optimal but is not the
     lexicographically smallest optimum, so the witness comes from the
-    rebuild probes alone. Both backends, through conftest's impl fixture."""
+    rebuild probes alone. Both backends, through the kernel fixture."""
 
-    def test_greedy_optimal_but_not_lex_smallest(self, impl):
+    def test_greedy_optimal_but_not_lex_smallest(self, kernel):
         # greedy takes 1 (two hits, ties to the smaller element), then 2;
         # the packing bound is 1, so the value search runs and finds no
         # single hitter
         masks = _masks((0, 1, 2), (1, 3), (2, 3))
         expected = (2, _masks((0, 3))[0])
         assert naive_hitting_set(4, masks) == expected
-        assert impl.min_hitting_set(4, masks, 0) == expected
+        assert kernel.min_hitting_set(4, masks, 0) == expected[0]
+        assert _lex_witness(4, masks, expected[0]) == expected[1]
 
-    def test_lower_bound_at_the_value_skips_the_value_search(self, impl):
+    def test_lower_bound_at_the_value_skips_the_value_search(self, kernel):
         # greedy takes {3, 4, 5}, which meets lower_bound 3 (the packing
         # bound is 2), so no value search runs
         masks = _masks((1, 2, 4), (2, 3, 4), (1, 5), (3, 6), (4, 6), (5, 6))
         expected = (3, _masks((1, 2, 6))[0])
         assert naive_hitting_set(7, masks) == expected
-        assert impl.min_hitting_set(7, masks, 3) == expected
+        assert kernel.min_hitting_set(7, masks, 3) == expected[0]
+        assert _lex_witness(7, masks, expected[0]) == expected[1]
 
 
 def _random_system(rng: random.Random, universe: int) -> list[int]:
@@ -295,23 +307,37 @@ def _random_system(rng: random.Random, universe: int) -> list[int]:
 
 
 class TestHittingSetOracle:
-    """The pure kernel's value and lex-smallest witness against subset
-    search, under every valid lower bound the solver can be handed."""
+    """The kernel's value, under every valid lower bound the solver can be
+    handed, and the lex-smallest witness rebuilt from its probes, against
+    subset search. Each test runs both backends in turn, each also behind
+    kernels.min_hitting_set."""
 
-    def _check(self, universe: int, masks: list[int]) -> None:
-        expected = naive_hitting_set(universe, masks)
-        for lb in sorted({0, 1, expected[0]}):
-            assert _pure.min_hitting_set(universe, masks, lb) == expected, (
-                universe,
-                masks,
-                lb,
-            )
+    @pytest.fixture
+    def check(self, compiled, monkeypatch):
+        def run(universe: int, masks: list[int]) -> None:
+            size, witness = naive_hitting_set(universe, masks)
+            for kernel in (_pure, compiled):
+                monkeypatch.setattr(locdim.kernels, "min_hitting_set", kernel.min_hitting_set)
+                for lb in sorted({0, 1, size}):
+                    assert kernel.min_hitting_set(universe, masks, lb) == size, (
+                        kernel.__name__,
+                        universe,
+                        masks,
+                        lb,
+                    )
+                assert _lex_witness(universe, masks, size) == witness, (
+                    kernel.__name__,
+                    universe,
+                    masks,
+                )
 
-    def test_random_systems(self):
+        return run
+
+    def test_random_systems(self, check):
         rng = random.Random(0x4177)
         for _ in range(300):
             universe = rng.randint(1, 14)
-            self._check(universe, _random_system(rng, universe))
+            check(universe, _random_system(rng, universe))
 
     @pytest.mark.parametrize("mode", ["local", "full"])
     @pytest.mark.parametrize(
@@ -319,8 +345,8 @@ class TestHittingSetOracle:
         [complete_minus_bipartite(12, 5, 4), upsilon(0), upsilon(7), apex_triangles(4)],
         ids=["K12-K5,4", "upsilon0", "upsilon7", "apex4"],
     )
-    def test_family_systems(self, g, mode):
-        self._check(g.n, list(distinguisher_sets(g, bfs_distances(g), mode).masks()))
+    def test_family_systems(self, check, g, mode):
+        check(g.n, list(distinguisher_sets(g, bfs_distances(g), mode).masks()))
 
 
 def _oracle_distances(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:

@@ -1,5 +1,7 @@
 """The clique number and the true-twin partition are computed once per
-graph: by dimension.lower_bounds, whose LowerBounds every consumer reads."""
+graph: by dimension.lower_bounds, whose LowerBounds every consumer reads.
+The sweep solves each graph with one hitting-set call and never rebuilds a
+witness, and a suite run normalizes its check ids once."""
 
 from __future__ import annotations
 
@@ -8,11 +10,21 @@ import sys
 import pytest
 
 import locdim.kernels
-from locdim import invariants
+from locdim import dimension, invariants, verify
 from locdim.cli import main
 from locdim.enumeration import connected_graphs
 from locdim.graphs import to_graph6
-from locdim.verify import check_graph, scan_clique_ratio
+from locdim.verify import check_graph, run_suite, scan_clique_ratio
+
+
+def _counted(tally: dict[str, int], name: str, fn):
+    """fn, adding one to tally[name] on every call."""
+
+    def wrapper(*args, **kwargs):
+        tally[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 @pytest.fixture
@@ -20,19 +32,11 @@ def counts(monkeypatch):
     """Call counters on kernels.max_clique and on twin_partition in every
     locdim module that holds it."""
     tally = {"max_clique": 0, "twin_partition": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            tally[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     monkeypatch.setattr(
-        locdim.kernels, "max_clique", counted("max_clique", locdim.kernels.max_clique)
+        locdim.kernels, "max_clique", _counted(tally, "max_clique", locdim.kernels.max_clique)
     )
     original = invariants.twin_partition
-    wrapped = counted("twin_partition", original)
+    wrapped = _counted(tally, "twin_partition", original)
     for name, module in list(sys.modules.items()):
         if name.startswith("locdim") and getattr(module, "twin_partition", None) is original:
             monkeypatch.setattr(module, "twin_partition", wrapped)
@@ -60,3 +64,43 @@ def test_scan_computes_each_once(counts):
     graphs = list(connected_graphs(5))
     assert scan_clique_ratio(graphs).total == len(graphs)
     assert counts == {"max_clique": len(graphs), "twin_partition": len(graphs)}
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Call counters on kernels.min_hitting_set and on the witness rebuild."""
+    tally = {"min_hitting_set": 0, "_lex_witness": 0}
+    for module, name in ((locdim.kernels, "min_hitting_set"), (dimension, "_lex_witness")):
+        monkeypatch.setattr(module, name, _counted(tally, name, getattr(module, name)))
+    return tally
+
+
+def test_check_graph_solves_once_and_never_rebuilds(solves):
+    graphs = list(connected_graphs(5))
+    for g in graphs:
+        check_graph(g)
+    assert solves == {"min_hitting_set": len(graphs), "_lex_witness": 0}
+
+
+def test_scan_never_rebuilds(solves):
+    report = scan_clique_ratio(connected_graphs(5))
+    assert report.applicable > 0
+    assert solves["_lex_witness"] == 0
+
+
+def test_dim_witness_rebuilds_once_per_line(solves, capsys, tmp_path):
+    target = tmp_path / "order5.g6"
+    target.write_text("".join(to_graph6(g) + "\n" for g in connected_graphs(5)))
+    assert main(["dim", "--input", str(target), "--witness"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 21 and all(" witness=" in line for line in lines)
+    assert solves["_lex_witness"] == 21
+
+
+def test_run_suite_normalizes_the_check_ids_once(monkeypatch):
+    tally = {"normalize_checks": 0}
+    monkeypatch.setattr(
+        verify, "normalize_checks", _counted(tally, "normalize_checks", verify.normalize_checks)
+    )
+    assert run_suite(connected_graphs(5)).graph_count == 21
+    assert tally == {"normalize_checks": 1}

@@ -8,7 +8,7 @@ import pytest
 
 import locdim.kernels
 import locdim.verify as verify_mod
-from locdim.enumeration import canonical_key, connected_graphs
+from locdim.enumeration import CANONICAL_MAX_VERTICES, canonical_key, connected_graphs
 from locdim.families import (
     complete,
     complete_minus_bipartite,
@@ -359,7 +359,7 @@ class TestAudit:
         assert report.missing == () and report.extra == ()
         assert len(report.observed) == 12
 
-    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("n", [4, CANONICAL_MAX_VERTICES + 1])
     def test_domain(self, n):
         with pytest.raises(ValueError):
             dimension_class_audit(n)
