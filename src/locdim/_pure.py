@@ -149,6 +149,8 @@ def min_hitting_set(
     uniq = sorted({int(c) for c in constraints})
     if not uniq:
         return 0
+    if uniq[0] < 0:
+        raise ValueError("constraints must be non-negative bitmasks")
     if uniq[0] == 0:
         raise ValueError("unsatisfiable constraint system: empty constraint")
     if uniq[-1] >> universe:

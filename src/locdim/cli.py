@@ -179,16 +179,15 @@ def _cmd_refute(args) -> int:
     return EXIT_OK if report.first_violation is not None else EXIT_FINDINGS
 
 
-def _add_source_flags(sub, with_strict: bool = True) -> None:
+def _add_source_flags(sub) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--gen", type=_gen_order, metavar="N",
                        help="stream every connected graph of order N"
                             f" (3..{CANONICAL_MAX_VERTICES})")
     group.add_argument("--corpus", metavar="PATH",
                        help="graph6 file, one graph per line")
-    if with_strict:
-        sub.add_argument("--strict", action="store_true",
-                         help="fail on the first malformed corpus line")
+    sub.add_argument("--strict", action="store_true",
+                     help="fail on the first malformed corpus line")
 
 
 def _build_parser() -> _Parser:

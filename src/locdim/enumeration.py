@@ -4,9 +4,9 @@ Canonical labeling minimizes the packed upper-triangle bit string over all
 relabelings. The search is a DFS over minimum-column ties with a prefix cut;
 the pure kernel also branches on one vertex per twin class and tries
 low-degree vertices first (see locdim._pure.canonical_bits). It is still
-exponential in the worst case, so it is deliberately capped at 8 vertices;
-that covers every exhaustive sweep this package runs. Larger inputs must
-arrive as pre-deduplicated corpora.
+exponential in the worst case, so it is deliberately capped at
+CANONICAL_MAX_VERTICES vertices; that covers every exhaustive sweep this
+package runs. Larger inputs must arrive as pre-deduplicated corpora.
 
 The class streams come from orderly generation (R. C. Read, "Every one a
 winner", 1978; I. A. Faradzev, 1978): every class is built exactly once,

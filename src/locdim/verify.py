@@ -114,36 +114,19 @@ def _clique_ratio(dim_local: int, omega: int, n: int) -> tuple[bool, str]:
     return lhs <= rhs, f"dim_local*(omega-1)={lhs} (omega-2)*n={rhs}"
 
 
-class CheckResult(NamedTuple):
-    check_id: str
-    applicable: bool
-    holds: bool
-    details: str
-
-
 class TheoremReport(NamedTuple):
     """One graph's verdicts as data: bit i of `applicable` and `holds`
-    belongs to check `checks[i]`, and `details[i]` is its text. An
-    inapplicable check keeps its holds bit set (vacuously true). A tuple,
-    so a worker process sends back just these six fields."""
+    belongs to check `checks[i]`. An inapplicable check keeps its holds bit
+    set (vacuously true). `details` holds the text of each violated check
+    (applicable and not holding) in check order, so it is () whenever every
+    check holds; a passing check's text is CHECKS[cid](GraphFacts(g))[2].
+    A tuple, so a worker process sends back just these five fields."""
 
     graph_id: str
-    n: int
     checks: tuple[str, ...]
     applicable: int
     holds: int
     details: tuple[str, ...]
-
-    @property
-    def results(self) -> tuple[CheckResult, ...]:
-        return tuple(
-            CheckResult(cid, bool(self.applicable >> i & 1), bool(self.holds >> i & 1), d)
-            for i, (cid, d) in enumerate(zip(self.checks, self.details))
-        )
-
-    @property
-    def violations(self) -> tuple[CheckResult, ...]:
-        return tuple(r for r in self.results if r.applicable and not r.holds)
 
 
 _NOT_APPLICABLE = "premise not met"
@@ -287,8 +270,9 @@ def _check_normalized(g: Graph, ids: tuple[str, ...]) -> TheoremReport:
         a, h, text = CHECKS[cid](facts)
         applicable |= a << i
         holds |= h << i
-        details.append(text)
-    return TheoremReport(facts.graph_id, g.n, ids, applicable, holds, tuple(details))
+        if a and not h:
+            details.append(text)
+    return TheoremReport(facts.graph_id, ids, applicable, holds, tuple(details))
 
 
 @dataclass(frozen=True)
@@ -305,11 +289,13 @@ class SuiteReport:
     @functools.cached_property
     def violations(self) -> tuple[tuple[str, str, str], ...]:
         """(graph_id, check_id, details) of every applicable check that
-        fails, sorted."""
+        fails, sorted: the one reader of a report's violation text, which
+        pairs the violated bits in order with `details`."""
         out = []
         for rep in self.reports:
-            for i in bit_indices(rep.applicable & ~rep.holds):
-                out.append((rep.graph_id, rep.checks[i], rep.details[i]))
+            violated = bit_indices(rep.applicable & ~rep.holds)
+            for i, text in zip(violated, rep.details, strict=True):
+                out.append((rep.graph_id, rep.checks[i], text))
         return tuple(sorted(out))
 
     @property

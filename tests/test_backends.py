@@ -71,6 +71,7 @@ BAD_INPUTS = {
     "canonical_bits-n12": lambda k: k.canonical_bits(12, [0] * 12),
     "is_canonical-n12": lambda k: k.is_canonical(12, [0] * 12, 0),
     "min_hitting_set-bit64": lambda k: k.min_hitting_set(62, [1 << 64], 0),
+    "min_hitting_set-negative": lambda k: k.min_hitting_set(3, [-2, 1], 0),
 }
 
 

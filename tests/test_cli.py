@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import io
+import re
 import sys
 
 import pytest
@@ -172,19 +173,48 @@ class TestVerify:
                 drawn.append(g)
                 yield g
 
-        check_graph = verify_mod.check_graph
+        check = verify_mod._check_normalized
+        checked = []
 
-        def check_as_drawn(g, checks=None):
+        def check_as_drawn(g, ids):
             # each graph is checked before the next one is drawn
             assert drawn[-1] is g
-            return check_graph(g, checks)
+            checked.append(g)
+            return check(g, ids)
 
         monkeypatch.setattr(cli, "connected_graphs", stream)
-        monkeypatch.setattr(verify_mod, "check_graph", check_as_drawn)
+        monkeypatch.setattr(verify_mod, "_check_normalized", check_as_drawn)
         code, out, _ = run_cli(capsys, "verify", "--gen", "4", "--format", "records")
         assert code == 0
         assert len(drawn) == 6
+        assert checked == drawn
         assert len(out.splitlines()) == 6 * 11
+
+    def test_violation_reported_end_to_end(self, capsys, monkeypatch):
+        """A check that fails on some graphs surfaces with its own text,
+        the same at one job and two (forked workers inherit the patch)."""
+        c3 = verify_mod.CHECKS["C3"]
+
+        def broken_c3(facts):
+            applicable, holds, text = c3(facts)
+            return applicable, holds and facts.dim_local != 2, text
+
+        expected = sorted(
+            (facts.graph_id, c3(facts)[2])
+            for facts in map(verify_mod.GraphFacts, connected_graphs(5))
+            if facts.dim_local == 2
+        )
+        assert expected
+        monkeypatch.setitem(verify_mod.CHECKS, "C3", broken_c3)
+        outputs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(capsys, "verify", "--gen", "5", "--jobs", jobs)
+            assert code == 3
+            lines = out.splitlines()
+            at = lines.index(f"violations: {len(expected)}")
+            assert lines[at + 1:] == [f"  {gid}  C3  {text}" for gid, text in expected]
+            outputs.append(re.sub(r"elapsed: \S+", "elapsed: -", out))
+        assert outputs[0] == outputs[1]
 
     def test_jobs_defaults_to_one(self):
         assert _build_parser().parse_args(["verify", "--gen", "3"]).jobs == 1

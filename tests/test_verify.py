@@ -21,7 +21,6 @@ from locdim.graphs import build, is_triangle_free
 from locdim.verify import (
     CHECK_IDS,
     CHECKS,
-    CheckResult,
     GraphFacts,
     SuiteReport,
     TheoremReport,
@@ -37,8 +36,12 @@ from locdim.verify import (
 )
 
 
-def _by_id(report: TheoremReport) -> dict[str, CheckResult]:
-    return {r.check_id: r for r in report.results}
+def _by_id(report: TheoremReport) -> dict[str, tuple[bool, bool]]:
+    """check id -> (applicable, holds), read off the report's bits."""
+    return {
+        cid: (bool(report.applicable >> i & 1), bool(report.holds >> i & 1))
+        for i, cid in enumerate(report.checks)
+    }
 
 
 class TestRecognizer:
@@ -104,9 +107,9 @@ class TestFacts:
                 assert f.triangle_free == is_triangle_free(g)
                 if n < 3:
                     continue
-                c1, c6 = check_graph(g, ["C1", "C6"]).results
-                assert c1.details.endswith(f" complete={complete}")
-                assert c6.applicable == is_triangle_free(g)
+                assert CHECKS["C1"](f)[2].endswith(f" complete={complete}")
+                rep = check_graph(g, ["C1", "C6"])
+                assert bool(rep.applicable >> 1 & 1) == is_triangle_free(g)
 
 
 class TestCheckGraph:
@@ -117,39 +120,40 @@ class TestCheckGraph:
     def test_cycle5_verdicts(self):
         rep = check_graph(cycle(5))
         res = _by_id(rep)
-        assert all(r.holds for r in rep.results)
-        assert rep.violations == ()
-        applicable = {cid for cid, r in res.items() if r.applicable}
+        assert all(holds for _, holds in res.values())
+        assert rep.details == ()
+        applicable = {cid for cid, (app, _) in res.items() if app}
         assert applicable == {"C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9"}
-        assert res["C10"].details == "premise not met"
+        facts = GraphFacts(cycle(5))
+        assert CHECKS["C10"](facts)[2] == "premise not met"
         # triangle-free bound is tight here: 5*2 == 2*5
-        assert "10" in res["C6"].details
+        assert "10" in CHECKS["C6"](facts)[2]
 
     def test_gamma1_verdicts(self):
         res = _by_id(check_graph(gamma1()))
-        assert all(r.holds for r in res.values())
-        assert not res["C6"].applicable
-        assert not res["C7"].applicable
-        assert res["C8"].applicable and res["C10"].applicable and res["C11"].applicable
+        assert all(holds for _, holds in res.values())
+        assert not res["C6"][0]
+        assert not res["C7"][0]
+        assert res["C8"][0] and res["C10"][0] and res["C11"][0]
 
     def test_complete_graph_verdicts(self):
         res = _by_id(check_graph(complete(6)))
-        assert all(r.holds for r in res.values())
-        assert not res["C6"].applicable
-        assert not res["C7"].applicable
-        assert not res["C10"].applicable
-        assert not res["C11"].applicable  # omega = n is out of the ratio's range
+        assert all(holds for _, holds in res.values())
+        assert not res["C6"][0]
+        assert not res["C7"][0]
+        assert not res["C10"][0]
+        assert not res["C11"][0]  # omega = n is out of the ratio's range
 
     def test_extremal_equality_cases(self):
         # the two ways to sit exactly at the n-3 ceiling with omega <= n-3
         for g in (cycle(5), complete_minus_bipartite(7, 3, 3)):
             res = _by_id(check_graph(g))
-            assert res["C7"].applicable and res["C7"].holds
-            assert res["C9"].holds
+            assert res["C7"] == (True, True)
+            assert res["C9"][1]
 
     def test_check_subset_keeps_registry_order(self):
         rep = check_graph(cycle(5), checks=("C3", "C1"))
-        assert [r.check_id for r in rep.results] == ["C1", "C3"]
+        assert rep.checks == ("C1", "C3")
 
 
 class TestNormalize:
@@ -192,7 +196,8 @@ class TestSuite:
     def test_check_selection(self):
         report = run_suite(connected_graphs(4), checks=("C3", "C1"))
         assert report.checks == ("C1", "C3")
-        assert all(len(rep.results) == 2 for rep in report.reports)
+        assert all(rep.checks == ("C1", "C3") for rep in report.reports)
+        assert all(rep.applicable < 4 and rep.holds < 4 for rep in report.reports)
 
     def test_jobs_domain(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -200,7 +205,7 @@ class TestSuite:
 
     def test_violation_reporting(self):
         # a synthetic failing result must surface in every view
-        bad = TheoremReport("X?", 3, ("C1",), 0b1, 0b0, ("dim_local=9 complete=False",))
+        bad = TheoremReport("X?", ("C1",), 0b1, 0b0, ("dim_local=9 complete=False",))
         report = SuiteReport("synthetic", ("C1",), (bad,), 0.0)
         assert not report.ok
         assert report.violations == (("X?", "C1", "dim_local=9 complete=False"),)
@@ -208,17 +213,18 @@ class TestSuite:
         assert report.to_records() == ["X?\tC1\t1\t0"]
 
     def test_inapplicable_is_not_a_violation(self):
-        rep = TheoremReport("X?", 3, ("C6",), 0b0, 0b1, ("premise not met",))
-        assert rep.violations == ()
+        rep = TheoremReport("X?", ("C6",), 0b0, 0b1, ())
+        report = SuiteReport("synthetic", ("C6",), (rep,), 0.0)
+        assert report.ok and report.violations == ()
 
     def test_mixed_verdicts_in_every_view(self):
         """Three graphs, two checks, failures on both: the table counts,
         the sorted violation list and the records are pinned."""
         # bit 0 is C1, bit 1 is C6
         reps = (
-            TheoremReport("X?", 3, ("C1", "C6"), 0b01, 0b10, ("d1", "premise not met")),
-            TheoremReport("W?", 3, ("C1", "C6"), 0b11, 0b01, ("ok", "d6")),
-            TheoremReport("A?", 3, ("C1", "C6"), 0b11, 0b10, ("d1b", "fine")),
+            TheoremReport("X?", ("C1", "C6"), 0b01, 0b10, ("d1",)),
+            TheoremReport("W?", ("C1", "C6"), 0b11, 0b01, ("d6",)),
+            TheoremReport("A?", ("C1", "C6"), 0b11, 0b10, ("d1b",)),
         )
         report = SuiteReport("synthetic", ("C1", "C6"), reps, 1.5)
         assert report.to_text() == (
@@ -237,8 +243,15 @@ class TestSuite:
             "W?\tC1\t1\t1", "W?\tC6\t1\t0",
             "A?\tC1\t1\t0", "A?\tC6\t1\t1",
         ]
-        assert [v.check_id for v in reps[0].violations] == ["C1"]
-        assert reps[1].violations == (CheckResult("C6", True, False, "d6"),)
+
+    def test_violation_text_pairs_with_the_violated_bits_in_order(self):
+        # C1 and C9 fail, C6 holds: details hold just the two failures' text
+        rep = TheoremReport("G?", ("C1", "C6", "C9"), 0b111, 0b010, ("t1", "t9"))
+        report = SuiteReport("synthetic", rep.checks, (rep,), 0.0)
+        assert report.violations == (("G?", "C1", "t1"), ("G?", "C9", "t9"))
+        short = TheoremReport("G?", ("C1", "C6", "C9"), 0b111, 0b010, ("t1",))
+        with pytest.raises(ValueError):
+            SuiteReport("synthetic", rep.checks, (short,), 0.0).violations
 
     def test_pool_returns_equal_reports(self):
         serial = run_suite(connected_graphs(6), jobs=1, source="x")
@@ -254,34 +267,44 @@ class TestSuite:
                 drawn.append(g)
                 yield g
 
-        def check_as_drawn(g, checks=None):
+        check = verify_mod._check_normalized
+        checked = []
+
+        def check_as_drawn(g, ids):
             # each graph is checked before the next one is drawn
             assert drawn[-1] is g
-            return check_graph(g, checks)
+            checked.append(g)
+            return check(g, ids)
 
-        monkeypatch.setattr(verify_mod, "check_graph", check_as_drawn)
+        monkeypatch.setattr(verify_mod, "_check_normalized", check_as_drawn)
         assert run_suite(stream(), jobs=1).graph_count == len(drawn) == 6
+        assert checked == drawn
 
 
 class TestReportData:
-    def test_pickle_carries_no_check_objects(self):
+    def test_pickle_carries_no_check_text(self):
         rep = check_graph(gamma1())
         data = pickle.dumps(rep)
-        assert b"CheckResult" not in data
+        assert b"dim_local" not in data and b"premise" not in data
         back = pickle.loads(data)
         assert type(back) is TheoremReport and back == rep
-        assert back.results == rep.results
 
-    def test_results_view_matches_the_check_functions(self):
+    def test_pickled_reports_stay_small(self):
+        # verdict bits and the graph id, no check text
+        reports = suite_over_order(7).reports
+        total = sum(len(pickle.dumps(rep)) for rep in reports)
+        assert total <= 130 * len(reports)
+
+    def test_bits_match_the_check_functions(self):
         for n in range(3, 8):
             for g in connected_graphs(n):
                 facts = GraphFacts(g)
-                direct = tuple(CheckResult(cid, *fn(facts)) for cid, fn in CHECKS.items())
+                direct = [fn(facts) for fn in CHECKS.values()]
                 rep = check_graph(g)
-                assert rep.results == direct
-                assert rep.violations == tuple(
-                    r for r in direct if r.applicable and not r.holds
-                )
+                assert rep.checks == CHECK_IDS
+                assert rep.applicable == sum(a << i for i, (a, _, _) in enumerate(direct))
+                assert rep.holds == sum(h << i for i, (_, h, _) in enumerate(direct))
+                assert rep.details == ()
 
 
 class TestFamilyTable:
