@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .graphs import bit_indices, twin_masks
+from .graphs import twin_masks
 
 __all__ = [
     "max_clique",
@@ -78,36 +78,40 @@ def _pack_bound(cons: list[int]) -> int:
     return lb
 
 
-def _exclude(rem: list[int], v: int) -> list[int] | None:
-    """Delete element v from every constraint; None if one becomes empty,
-    otherwise the restricted constraints stably sorted by size."""
-    keep = ~(1 << v)
-    rem = sorted([c & keep for c in rem], key=int.bit_count)
-    return rem if rem[0] else None
-
-
-def _least(rem: list[int], chosen: int, best: int, floor: int) -> int:
+def _least(rem: list[int], allowed: int, chosen: int, best: int, floor: int) -> int:
     """The branch-and-bound below one node: min(best, chosen + the size of
     the smallest hitting set of rem), except that the search stops as soon
-    as that falls to floor or below. rem holds no empty constraint and is
-    in size order; the first hitting set found of size at most floor ends
-    the search."""
+    as that falls to floor or below. rem holds no empty constraint, lies
+    within allowed (the elements not excluded above this node) and is in
+    size order; the first hitting set found of size at most floor ends the
+    search."""
     if not rem:
         return min(chosen, best)
     # rem needs one more element at least, so chosen + 1 >= best prunes
     # before the packing bound is counted
     if best <= floor or chosen + 1 >= best or chosen + _pack_bound(rem) >= best:
         return best
-    # every hitting set hits rem[0]; branch on its elements (the bits of
-    # this rem[0], fixed when the loop starts)
-    for v in bit_indices(rem[0]):
-        best = _least([c for c in rem if not (c >> v) & 1], chosen + 1, best, floor)
-        if best <= floor:
+    # every hitting set hits rem[0]; branch on its elements, lowest first
+    branch = rem[0]
+    while True:
+        bit = branch & -branch
+        child = sorted([c & allowed for c in rem if not c & bit], key=int.bit_count)
+        best = _least(child, allowed, chosen + 1, best, floor)
+        branch ^= bit
+        if best <= floor or not branch:
             return best
-        rem = _exclude(rem, v)
-        if rem is None or chosen + _pack_bound(rem) >= best:
+        # the later siblings exclude this element; re-count the packing
+        # bound on what rem keeps of allowed
+        allowed ^= bit
+        used = 0
+        lb = chosen
+        for c in rem:
+            c &= allowed
+            if not c & used:
+                used |= c
+                lb += 1
+        if lb >= best:
             return best
-    return best
 
 
 def min_hitting_set(
@@ -130,15 +134,21 @@ def min_hitting_set(
     and the OR stops once it covers everything.
 
     One branch-and-bound, _least, finds the value. It branches on the
-    elements of the smallest remaining constraint, in ascending order, with
-    exclusion: once the subtree that takes v has been searched, every
-    hitting set that contains v has been seen, so v is deleted from the
-    remaining constraints before the next sibling. The siblings stop when a
-    constraint becomes empty. The restricted constraints are re-sorted by
-    size, so a size-1 constraint gives a single forced branch in the child
-    (unit propagation), and the disjoint-packing bound, re-checked after
-    each deletion, is tighter on the smaller constraints. The siblings
-    partition the hitting sets below the node, so no optimum is lost.
+    elements of the smallest remaining constraint, rem[0], in ascending
+    order, with exclusion: once the subtree that takes v has been searched,
+    every hitting set that contains v has been seen, so the later siblings
+    may not use v. The exclusions are an element mask, allowed, passed down
+    the recursion; no constraint is rewritten in place. Each child is built
+    from the allowed parts of the constraints v misses, stably sorted by
+    size, so a constraint cut down to one element comes first and gives a
+    single forced branch (unit propagation). After each sibling, v leaves
+    allowed and one pass re-counts the disjoint-packing bound on the
+    allowed parts of the node's constraints. No constraint runs out of
+    allowed elements before rem[0] does, since the excluded elements all
+    lie in rem[0] and no constraint is smaller: so no child holds an empty
+    constraint, and the siblings end with rem[0]'s last element. The
+    siblings partition the hitting sets below the node, so no optimum is
+    lost.
 
     The search starts from the greedy cover's size (most hits first, ties
     to the smaller element) and stops at the floor: the largest of
@@ -171,20 +181,23 @@ def min_hitting_set(
         if outside == kept:
             bit = kept + 1  # the next constraint's bit
             kept |= bit
-            for v in bit_indices(c):
-                contain[v] |= bit
+            rest = c
+            while rest:
+                low = rest & -rest
+                contain[low.bit_length() - 1] |= bit
+                rest ^= low
             cons.append(c)
     floor = max(lower_bound, 1, _pack_bound(cons))
 
-    # greedy cover (most-hits-first) for the initial upper bound
-    elements = list(bit_indices(support))
+    # greedy cover (most hits first, ties to the smaller element) for the
+    # initial upper bound
     greedy = 0
     alive = kept
     while alive:
-        v = max(elements, key=lambda u: ((contain[u] & alive).bit_count(), -u))
-        alive &= ~contain[v]
+        hits = [(x & alive).bit_count() for x in contain]
+        alive &= ~contain[hits.index(max(hits))]
         greedy += 1
-    return _least(cons, 0, greedy, floor)
+    return _least(cons, support, 0, greedy, floor)
 
 
 def _least_string(n: int, adj: Sequence[int], own: int) -> int:

@@ -29,10 +29,16 @@
 
 #define BIT(v) ((uint64_t)1 << (v))
 
+/* Bit-parallel count, inlined: without -mpopcnt, __builtin_popcountll is a
+   library call, and the hitting-set search counts every constraint of every
+   child it sorts. */
 static int
 popcount(uint64_t x)
 {
-    return __builtin_popcountll(x);
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (int)((x * 0x0101010101010101ULL) >> 56);
 }
 
 static int
@@ -131,54 +137,46 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
 static void
 sort_by_size(uint64_t *cons, int k, uint64_t *scratch)
 {
-    int start[MASK_CAP + 1] = {0};
-    for (int i = 0; i < k; i++)
-        start[popcount(cons[i]) + 1]++;
-    for (int s = 1; s <= MASK_CAP; s++)
+    int start[MASK_CAP + 1] = {0}, top = 0;
+    for (int i = 0; i < k; i++) {
+        int s = popcount(cons[i]);
+        start[s + 1]++;
+        if (s > top)
+            top = s;
+    }
+    for (int s = 1; s <= top; s++)
         start[s] += start[s - 1];
     for (int i = 0; i < k; i++)
         scratch[start[popcount(cons[i])]++] = cons[i];
     memcpy(cons, scratch, (size_t)k * sizeof *cons);
 }
 
+/* _pure._pack_bound on the parts of cons[0..k) within allowed. */
 static int
-pack_bound(const uint64_t *cons, int k)
+pack_bound(const uint64_t *cons, int k, uint64_t allowed)
 {
     uint64_t used = 0;
     int lb = 0;
     for (int i = 0; i < k; i++) {
-        if ((cons[i] & used) == 0) {
-            used |= cons[i];
+        uint64_t c = cons[i] & allowed;
+        if ((c & used) == 0) {
+            used |= c;
             lb++;
         }
     }
     return lb;
 }
 
-/* The constraints of cons[0..k) that v does not hit, in order, into out;
-   returns their count. */
+/* The parts within allowed of the constraints of cons[0..k) that v does
+   not hit, in order, into out; returns their count. */
 static int
-unhit(const uint64_t *cons, int k, int v, uint64_t *out)
+unhit(const uint64_t *cons, int k, int v, uint64_t allowed, uint64_t *out)
 {
     int nk = 0;
     for (int i = 0; i < k; i++)
         if (!((cons[i] >> v) & 1))
-            out[nk++] = cons[i];
+            out[nk++] = cons[i] & allowed;
     return nk;
-}
-
-/* _pure._exclude in place: deletes v from every constraint and re-sorts by
-   size. Returns 0 when a constraint becomes empty. */
-static int
-exclude(uint64_t *cons, int k, int v, uint64_t *scratch)
-{
-    for (int i = 0; i < k; i++) {
-        cons[i] &= ~BIT(v);
-        if (cons[i] == 0)
-            return 0;
-    }
-    sort_by_size(cons, k, scratch);
-    return 1;
 }
 
 struct hitting {
@@ -187,12 +185,13 @@ struct hitting {
     uint64_t *scratch;  /* room for every constraint, for sort_by_size */
 };
 
-/* _pure._least, with best and floor in h. Each level owns its constraint
-   array rem[0..k), which exclude rewrites, and builds its children's
-   arrays right after it, at rem + k. The arena holds one array per level
-   of the deepest branch. */
+/* _pure._least, with best and floor in h. Each level reads its constraint
+   array rem[0..k), in size order and within allowed, and builds its
+   children's arrays right after it, at rem + k. The arena holds one array
+   per level of the deepest branch. */
 static void
-hs_search(struct hitting *h, int chosen, uint64_t *rem, int k)
+hs_search(struct hitting *h, int chosen, uint64_t *rem, int k,
+          uint64_t allowed)
 {
     if (k == 0) {
         if (chosen < h->best)
@@ -200,16 +199,20 @@ hs_search(struct hitting *h, int chosen, uint64_t *rem, int k)
         return;
     }
     if (h->best <= h->floor || chosen + 1 >= h->best
-        || chosen + pack_bound(rem, k) >= h->best)
+        || chosen + pack_bound(rem, k, allowed) >= h->best)
         return;
     uint64_t *child = rem + k;
-    for (uint64_t bits = rem[0]; bits; bits &= bits - 1) {
+    for (uint64_t bits = rem[0];;) {
         int v = lowest(bits);
-        hs_search(h, chosen + 1, child, unhit(rem, k, v, child));
-        if (h->best <= h->floor)
+        int nk = unhit(rem, k, v, allowed, child);
+        sort_by_size(child, nk, h->scratch);
+        hs_search(h, chosen + 1, child, nk, allowed);
+        bits &= bits - 1;
+        if (h->best <= h->floor || bits == 0)
             return;
-        if (!exclude(rem, k, v, h->scratch)
-            || chosen + pack_bound(rem, k) >= h->best)
+        /* the later siblings exclude v */
+        allowed &= ~BIT(v);
+        if (chosen + pack_bound(rem, k, allowed) >= h->best)
             return;
     }
 }
@@ -237,7 +240,7 @@ greedy_cover(const uint64_t *cons, int k, uint64_t *work)
             if (counts[v] > counts[pick])
                 pick = v;
         size++;
-        k = unhit(work, k, pick, work);
+        k = unhit(work, k, pick, ~(uint64_t)0, work);
     }
     return size;
 }
@@ -250,7 +253,7 @@ hs_solve(const uint64_t *cons, int k, int lower_bound, uint64_t *scratch)
     int greedy = greedy_cover(cons, k, scratch);
     struct hitting h = {.floor = lower_bound, .best = greedy,
                         .scratch = scratch};
-    int pack = pack_bound(cons, k);
+    int pack = pack_bound(cons, k, ~(uint64_t)0);
     if (h.floor < 1)
         h.floor = 1;
     if (h.floor < pack)
@@ -261,7 +264,7 @@ hs_solve(const uint64_t *cons, int k, int lower_bound, uint64_t *scratch)
         if (work == NULL)
             return PyErr_NoMemory();
         memcpy(work, cons, (size_t)k * sizeof *cons);
-        hs_search(&h, 0, work, k);
+        hs_search(&h, 0, work, k, ~(uint64_t)0);
         PyMem_Free(work);
     }
     return PyLong_FromLong(h.best);

@@ -12,7 +12,7 @@ import sys
 from collections.abc import Iterable
 
 from . import verify as verify_mod
-from .dimension import local_metric_dimension, metric_dimension
+from .dimension import _value, local_metric_dimension, lower_bounds, metric_dimension
 from .enumeration import (
     CANONICAL_MAX_VERTICES,
     CONNECTED_CLASS_COUNTS,
@@ -104,20 +104,23 @@ def _suite_source(args) -> Iterable[Graph]:
 
 
 def _cmd_dim(args) -> int:
+    """One line per graph; the witness is rebuilt only when it is shown."""
     solve = metric_dimension if args.mode == "full" else local_metric_dimension
     for name, g in _input_graphs(args):
-        result = solve(g)
-        bounds = result.bounds
-        line = (
+        if args.witness:
+            result = solve(g)
+            bounds, value = result.bounds, result.value
+            tail = " witness=" + (",".join(map(str, result.witness)) or "-")
+        else:
+            bounds = lower_bounds(g)
+            value = _value(g, args.mode, bounds)
+            tail = ""
+        print(
             f"id={name} n={g.n} m={g.m} omega={bounds.omega}"
             f" twin_classes={g.n - bounds.twin}"
             f" lb_twin={bounds.twin} lb_log={bounds.log_clique} lb_gap={bounds.gap}"
-            f" mode={args.mode} value={result.value}"
+            f" mode={args.mode} value={value}{tail}"
         )
-        if args.witness:
-            shown = ",".join(map(str, result.witness)) if result.witness else "-"
-            line += f" witness={shown}"
-        print(line)
     return EXIT_OK
 
 

@@ -245,10 +245,10 @@ def _lex_witness(universe: int, masks: Sequence[int], size: int) -> int:
     return witness
 
 
-def _local_value(g: Graph, bounds: LowerBounds) -> int:
-    """The local dimension alone, searched from lower_bounds(g): one kernel
-    call and no witness, for callers that read only the value."""
-    return kernels.min_hitting_set(g.n, _distinguisher_masks(g, "local"), bounds.best)
+def _value(g: Graph, mode: str, bounds: LowerBounds) -> int:
+    """The dimension in `mode` alone, searched from lower_bounds(g): one
+    kernel call and no witness, for callers that read only the value."""
+    return kernels.min_hitting_set(g.n, _distinguisher_masks(g, mode), bounds.best)
 
 
 def _solve(g: Graph, mode: str, bounds: LowerBounds) -> DimResult:

@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dimension import _local_value, local_metric_dimension, lower_bounds
+from .dimension import _value, local_metric_dimension, lower_bounds
 from .enumeration import CANONICAL_MAX_VERTICES, canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
 from .graphs import Graph, bit_indices, is_bipartite, to_graph6
@@ -67,7 +67,7 @@ class GraphFacts:
         self.n = g.n
         self.bounds = lower_bounds(g)
         # the value alone: no check reads a witness
-        self.dim_local = _local_value(g, self.bounds)
+        self.dim_local = _value(g, "local", self.bounds)
         self.omega = self.bounds.omega
         # read off the clique number the floors already computed
         self.is_complete = self.omega == self.n
@@ -538,7 +538,7 @@ def scan_clique_ratio(
         if wanted is not None and omega not in wanted:
             continue
         applicable += 1
-        dim_local = _local_value(g, bounds)
+        dim_local = _value(g, "local", bounds)
         holds, details = _clique_ratio(dim_local, omega, g.n)
         if not holds:
             violations.append((_graph_id(g), details))

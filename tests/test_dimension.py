@@ -348,6 +348,104 @@ class TestHittingSetOracle:
     def test_family_systems(self, check, g, mode):
         check(g.n, list(distinguisher_sets(g, bfs_distances(g), mode).masks()))
 
+    @pytest.mark.parametrize("offset", [0, 55], ids=["low", "top-of-word"])
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            # the root's second sibling runs with 0 excluded, so its child
+            # holds {0, 4} cut to {4}: a forced branch
+            ((0, 2), (0, 4), (1, 4), (2, 3)),
+            # the root's third sibling runs with 0 and 1 excluded, so its
+            # child holds {0, 5, 6} and {1, 5, 6} both cut to {5, 6}
+            ((0, 1, 2), (0, 3, 6), (0, 5, 6), (1, 5, 6), (2, 3, 4)),
+            # the Fano plane: value 3, packing bound 1; once 0 is excluded,
+            # the lines through 0 are three disjoint pairs and the packing
+            # bound of what the root keeps ends its siblings
+            ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)),
+        ],
+        ids=["unit-by-exclusion", "duplicates-by-exclusion", "packing-by-exclusion"],
+    )
+    def test_exclusion_edge_systems(self, check, sets, offset):
+        """Systems where the excluded elements cut the constraints the
+        search reads; offset 55 moves them to the word's top bits."""
+        check(offset + 7, _masks(*[tuple(v + offset for v in s) for s in sets]))
+
+
+def test_value_ignores_order_duplicates_and_supersets(impl):
+    """Permuting the constraints, repeating some or adding supersets of
+    them leaves the value alone; both backends."""
+    rng = random.Random(0x5E75)
+    systems = [
+        (universe, _random_system(rng, universe))
+        for universe in (rng.randint(1, 14) for _ in range(200))
+    ]
+    systems += [
+        (g.n, list(distinguisher_sets(g, mode="local").masks()))
+        for g in (random_connected(rng, 20, p) for p in (0.6, 0.9))
+    ]
+    for universe, masks in systems:
+        size = impl.min_hitting_set(universe, masks, 0)
+        extra = rng.randint(1, len(masks))
+        shuffled = rng.sample(masks, len(masks))
+        doubled = masks + rng.choices(masks, k=extra)
+        wider = masks + [c | rng.getrandbits(universe) for c in rng.choices(masks, k=extra)]
+        mixed = rng.sample(doubled + wider, len(doubled + wider))
+        for variant in (shuffled, doubled, wider, mixed):
+            assert impl.min_hitting_set(universe, variant, 0) == size, (universe, masks)
+
+
+class TestPureSearch:
+    """The pure value search, node by node, through a wrapper around
+    _pure._least, which the search reaches by its module name."""
+
+    def test_every_node_reads_sorted_constraints_within_allowed(self, monkeypatch):
+        """No node gets an empty constraint, or one outside its allowed
+        mask, and each node's constraints come in size order. The search
+        leans on this: rem[0] is a smallest constraint, so no other one
+        runs out of allowed elements before rem[0] does."""
+        nodes = 0
+        original = _pure._least
+
+        def checked(rem, allowed, chosen, best, floor):
+            nonlocal nodes
+            nodes += 1
+            assert all(c and not c & ~allowed for c in rem), (rem, allowed)
+            sizes = [c.bit_count() for c in rem]
+            assert sizes == sorted(sizes), rem
+            return original(rem, allowed, chosen, best, floor)
+
+        monkeypatch.setattr(_pure, "_least", checked)
+        rng = random.Random(0xA110)
+        for _ in range(300):
+            universe = rng.randint(1, 14)
+            _pure.min_hitting_set(universe, _random_system(rng, universe), 0)
+        g = random_connected(rng, 24, 0.9)
+        _pure.min_hitting_set(g.n, _distinguisher_masks(g, "local"), lower_bounds(g).best)
+        assert nodes > 500
+
+    @pytest.mark.parametrize(
+        ("n", "p", "value", "ceiling"),
+        [(24, 0.9, 9, 1362), (28, 0.6, 5, 1494)],
+    )
+    def test_node_count_ceiling(self, monkeypatch, n, p, value, ceiling):
+        """The value search on two fixed dense local systems, from the
+        solver's floor, visits at most the nodes it did when the search
+        was written. A weaker bound or a lost unit propagation shows here
+        as more nodes before it shows as more time."""
+        nodes = 0
+        original = _pure._least
+
+        def counted(*args):
+            nonlocal nodes
+            nodes += 1
+            return original(*args)
+
+        monkeypatch.setattr(_pure, "_least", counted)
+        g = random_connected(random.Random(0), n, p)
+        masks = _distinguisher_masks(g, "local")
+        assert _pure.min_hitting_set(g.n, masks, lower_bounds(g).best) == value
+        assert nodes <= ceiling
+
 
 def _oracle_distances(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:
     """All-pairs hop distances by plain queue BFS, independent of the

@@ -1,7 +1,8 @@
 """The clique number and the true-twin partition are computed once per
 graph: by dimension.lower_bounds, whose LowerBounds every consumer reads.
-The sweep solves each graph with one hitting-set call and never rebuilds a
-witness, and a suite run normalizes its check ids once."""
+The sweep, and `dim` without --witness, solve each graph with one
+hitting-set call and never rebuild a witness, and a suite run normalizes
+its check ids once."""
 
 from __future__ import annotations
 
@@ -95,6 +96,16 @@ def test_dim_witness_rebuilds_once_per_line(solves, capsys, tmp_path):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 21 and all(" witness=" in line for line in lines)
     assert solves["_lex_witness"] == 21
+
+
+@pytest.mark.parametrize("mode", ["local", "full"])
+def test_dim_without_witness_never_rebuilds(solves, capsys, tmp_path, mode):
+    target = tmp_path / "order5.g6"
+    target.write_text("".join(to_graph6(g) + "\n" for g in connected_graphs(5)))
+    assert main(["dim", "--input", str(target), "--mode", mode]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 21 and not any(" witness=" in line for line in lines)
+    assert solves == {"min_hitting_set": 21, "_lex_witness": 0}
 
 
 def test_run_suite_normalizes_the_check_ids_once(monkeypatch):
