@@ -1,81 +1,64 @@
-"""Exact local metric dimension tooling for small graphs."""
+"""Exact local metric dimension tooling for small graphs.
 
-from .dimension import (
-    Constraint,
-    ConstraintSystem,
-    DimResult,
-    LowerBounds,
-    distinguisher_sets,
-    is_local_resolving,
-    is_resolving,
-    local_metric_dimension,
-    lower_bounds,
-    metric_dimension,
-)
-from .enumeration import (
-    CanonicalKey,
-    Corpus,
-    canonical_form,
-    canonical_graph6,
-    canonical_key,
-    connected_graphs,
-    read_corpus,
-)
-from .graphs import (
-    DisconnectedError,
-    DistanceMatrix,
-    Graph,
-    Graph6Error,
-    bfs_distances,
-    build,
-    from_graph6,
-    is_bipartite,
-    is_connected,
-    is_triangle_free,
-    to_graph6,
-)
-from .invariants import TwinPartition, clique_number, max_clique, twin_partition
-from .pattern import find_induced, is_gamma_free
-from .verify import check_graph, run_suite
+The package namespace is lazy (PEP 562): `import locdim` loads no
+submodule, and a public name loads its home module when it is first used.
+The name is looked up in that module on every access and never copied
+here, so the package always hands out what the module holds.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CanonicalKey",
-    "Constraint",
-    "ConstraintSystem",
-    "Corpus",
-    "DimResult",
-    "DisconnectedError",
-    "DistanceMatrix",
-    "Graph",
-    "Graph6Error",
-    "LowerBounds",
-    "TwinPartition",
-    "bfs_distances",
-    "build",
-    "canonical_form",
-    "canonical_graph6",
-    "canonical_key",
-    "check_graph",
-    "clique_number",
-    "connected_graphs",
-    "distinguisher_sets",
-    "find_induced",
-    "from_graph6",
-    "is_bipartite",
-    "is_connected",
-    "is_gamma_free",
-    "is_local_resolving",
-    "is_resolving",
-    "is_triangle_free",
-    "local_metric_dimension",
-    "lower_bounds",
-    "max_clique",
-    "metric_dimension",
-    "read_corpus",
-    "run_suite",
-    "to_graph6",
-    "twin_partition",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_HOMES = {
+    "Constraint": "dimension",
+    "ConstraintSystem": "dimension",
+    "DimResult": "dimension",
+    "LowerBounds": "dimension",
+    "distinguisher_sets": "dimension",
+    "is_local_resolving": "dimension",
+    "is_resolving": "dimension",
+    "local_metric_dimension": "dimension",
+    "lower_bounds": "dimension",
+    "metric_dimension": "dimension",
+    "CanonicalKey": "enumeration",
+    "Corpus": "enumeration",
+    "canonical_form": "enumeration",
+    "canonical_graph6": "enumeration",
+    "canonical_key": "enumeration",
+    "connected_graphs": "enumeration",
+    "read_corpus": "enumeration",
+    "DisconnectedError": "graphs",
+    "DistanceMatrix": "graphs",
+    "Graph": "graphs",
+    "Graph6Error": "graphs",
+    "bfs_distances": "graphs",
+    "build": "graphs",
+    "from_graph6": "graphs",
+    "is_bipartite": "graphs",
+    "is_connected": "graphs",
+    "is_triangle_free": "graphs",
+    "to_graph6": "graphs",
+    "TwinPartition": "invariants",
+    "clique_number": "invariants",
+    "max_clique": "invariants",
+    "twin_partition": "invariants",
+    "find_induced": "pattern",
+    "is_gamma_free": "pattern",
+    "check_graph": "verify",
+    "run_suite": "verify",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

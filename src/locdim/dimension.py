@@ -11,7 +11,7 @@ construction over all vertex pairs instead of edges.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .graphs import (
@@ -27,8 +27,7 @@ from .invariants import clique_number, twin_partition
 MODES = ("local", "full")
 
 
-@dataclass(frozen=True)
-class LowerBounds:
+class LowerBounds(NamedTuple):
     """Search floors for the local dimension of a connected graph.
 
     twin: n minus the number of true-twin classes.
@@ -51,16 +50,14 @@ class LowerBounds:
         return max(self.twin, self.log_clique, self.gap)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """Distinguisher set of one vertex pair, as a bitmask."""
 
     pair: tuple[int, int]
     mask: int
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     n: int
     mode: str
     constraints: tuple[Constraint, ...]
@@ -69,8 +66,7 @@ class ConstraintSystem:
         return tuple(c.mask for c in self.constraints)
 
 
-@dataclass(frozen=True)
-class DimResult:
+class DimResult(NamedTuple):
     """value: the exact dimension; witness: the lexicographically smallest
     optimal set, sorted ascending; bounds: the floors the search started
     from."""

@@ -38,8 +38,8 @@ completion of that partial labeling is a whole string below own.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import kernels
 from .graphs import (
@@ -69,8 +69,7 @@ CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 1111
 _CLASS_BITS: dict[tuple[int, bool], frozenset[int]] = {}
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalKey:
+class CanonicalKey(NamedTuple):
     """Total order on isomorphism classes: (order, minimized triangle bits)."""
 
     n: int
@@ -189,8 +188,7 @@ def connected_graphs(n: int) -> Iterator[Graph]:
         yield graph_from_triangle_bits(n, bits)
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """Decoded graphs in file order plus per-line decode errors."""
 
     graphs: tuple[Graph, ...]

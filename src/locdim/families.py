@@ -7,7 +7,7 @@ vertex numbering documented on each constructor.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, build
 
@@ -145,8 +145,7 @@ _SHORTHAND = re.compile(r"^([kcp])(\d+)$")
 _CALL = re.compile(r"^([a-z0-9]+)\((\d+(?:,\d+)*)\)$")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     name: str
     params: tuple[int, ...]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_VERTICES = 62
 
@@ -33,20 +33,43 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph; adj[v] is the open-neighborhood bitmask."""
+    """Undirected simple graph; adj[v] is the open-neighborhood bitmask.
 
-    n: int
-    adj: tuple[int, ...]
+    Immutable: both fields are checked once, here, and assignment is
+    refused. Equality and hashing go by (n, adj). A pickle holds the class
+    and the instance dict, so unpickling (in a pool worker, say) restores
+    the fields without running __init__ or the checks again.
+    """
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
-        if len(self.adj) != self.n:
-            raise ValueError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        if len(adj) != n:
+            raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
+        # past the refusing __setattr__; writing self.__dict__ instead would
+        # make every later attribute read take the slower dict path
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
         if not self._rows_valid():
             self._raise_first_fault()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.adj) == (other.n, other.adj)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(n={self.n!r}, adj={self.adj!r})"
 
     def _rows_valid(self) -> bool:
         """Rows in range, no self-loop, symmetric; each edge is looked at
@@ -258,8 +281,7 @@ def from_graph6(text: str) -> Graph:
 # -------------------------------------------------------------- traversals
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(NamedTuple):
     """All-pairs hop distances of a connected graph."""
 
     n: int

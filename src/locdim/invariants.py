@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .graphs import Graph
@@ -33,8 +33,7 @@ def clique_number(g: Graph) -> int:
     return kernels.max_clique(g.n, g.adj)
 
 
-@dataclass(frozen=True)
-class TwinPartition:
+class TwinPartition(NamedTuple):
     """Partition of the vertices into true-twin classes (equal closed
     neighborhoods). Classes are sorted by their smallest member."""
 

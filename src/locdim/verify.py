@@ -14,7 +14,6 @@ import functools
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dimension import _value, local_metric_dimension, lower_bounds
@@ -275,8 +274,7 @@ def _check_normalized(g: Graph, ids: tuple[str, ...]) -> TheoremReport:
     return TheoremReport(facts.graph_id, ids, applicable, holds, tuple(details))
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     source: str
     checks: tuple[str, ...]
     reports: tuple[TheoremReport, ...]
@@ -286,11 +284,12 @@ class SuiteReport:
     def graph_count(self) -> int:
         return len(self.reports)
 
-    @functools.cached_property
+    @property
     def violations(self) -> tuple[tuple[str, str, str], ...]:
         """(graph_id, check_id, details) of every applicable check that
         fails, sorted: the one reader of a report's violation text, which
-        pairs the violated bits in order with `details`."""
+        pairs the violated bits in order with `details`. Collected anew on
+        each read; to_text reads it once."""
         out = []
         for rep in self.reports:
             violated = bit_indices(rep.applicable & ~rep.holds)
@@ -300,7 +299,9 @@ class SuiteReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        """No applicable check fails, read from the verdict bits alone, so
+        the violations are not collected for it."""
+        return not any(rep.applicable & ~rep.holds for rep in self.reports)
 
     def to_records(self) -> list[str]:
         """One tab-separated record per graph per check, in stream order:
@@ -393,8 +394,7 @@ def suite_over_order(
 # ------------------------------------------------------- family dimension
 
 
-@dataclass(frozen=True)
-class FamilyTableRow:
+class FamilyTableRow(NamedTuple):
     n: int
     lam: int
     mu: int
@@ -406,8 +406,7 @@ class FamilyTableRow:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
-class FamilyTableReport:
+class FamilyTableReport(NamedTuple):
     rows: tuple[FamilyTableRow, ...]
 
     @property
@@ -445,8 +444,7 @@ def family_split_table(max_n: int = 10) -> FamilyTableReport:
 # ------------------------------------------------------------- refutation
 
 
-@dataclass(frozen=True)
-class RefutationRow:
+class RefutationRow(NamedTuple):
     triangles: int
     n: int
     dim_local: int
@@ -457,8 +455,7 @@ class RefutationRow:
         return self.dim_local > self.ceiling
 
 
-@dataclass(frozen=True)
-class RefutationReport:
+class RefutationReport(NamedTuple):
     rows: tuple[RefutationRow, ...]
 
     @property
@@ -500,8 +497,7 @@ def problem1_refutation(max_triangles: int = 4) -> RefutationReport:
 # ------------------------------------------------------------------- scan
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     total: int
     applicable: int
     violations: tuple[tuple[str, str], ...]
@@ -548,8 +544,7 @@ def scan_clique_ratio(
 # ------------------------------------------------------------------ audit
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Observed vs predicted membership of the dim_local = n-3 class over
     the full stream of one order (canonical graph6 ids, sorted)."""
 

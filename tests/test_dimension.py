@@ -135,6 +135,9 @@ class TestBounds:
     def test_gap_clamps(self):
         assert LowerBounds(0, 0, -17, 1).gap == 0
         assert LowerBounds(2, 3, -1, 5).best == 3
+        # a positive gap passes through, and can be the best floor
+        bounds = LowerBounds(twin=1, log_clique=3, gap_raw=4, omega=6)
+        assert (bounds.gap, bounds.best) == (4, 4)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):

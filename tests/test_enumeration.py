@@ -55,6 +55,10 @@ class TestCanonical:
     def test_key_orders_by_n_first(self):
         assert canonical_key(path(2)) < canonical_key(path(3))
         assert CanonicalKey(3, 7) < CanonicalKey(4, 0)
+        # then by bits, as a tuple sorts
+        keys = [CanonicalKey(4, 9), CanonicalKey(3, 7), CanonicalKey(4, 2), CanonicalKey(3, 1)]
+        assert sorted(keys) == [(3, 1), (3, 7), (4, 2), (4, 9)]
+        assert CanonicalKey(5, 3) == CanonicalKey(n=5, bits=3)
 
     def test_relabeling_preserves_key(self):
         rng = random.Random(11)

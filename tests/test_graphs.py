@@ -6,6 +6,7 @@ format definition, sharing no code with the package.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -179,6 +180,46 @@ class TestConstruction:
     def test_complement_of_complete_is_empty(self):
         g = build(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
         assert g.complement().m == 0
+
+
+class TestValueSemantics:
+    def test_equality_and_hash_go_by_the_fields(self):
+        g = build(3, [(0, 1), (1, 2)])
+        h = Graph(3, (2, 5, 2))
+        assert g == h and hash(g) == hash(h) == hash((3, (2, 5, 2)))
+        assert g != build(3, [(0, 1), (0, 2)])
+        assert g != (3, (2, 5, 2))
+        assert len({g, h, build(3, [(0, 2), (1, 2)])}) == 2
+
+    def test_repr(self):
+        assert repr(build(3, [(0, 1), (1, 2)])) == "Graph(n=3, adj=(2, 5, 2))"
+
+    def test_assignment_is_refused(self):
+        g = build(3, [(0, 1)])
+        with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
+            g.n = 4
+        with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+            g.extra = 1
+        with pytest.raises(AttributeError, match="cannot delete field 'adj'"):
+            del g.adj
+        assert g.n == 3 and g.adj == (2, 1, 0)
+
+    def test_pickle_round_trip_skips_the_checks(self, monkeypatch):
+        g = build(8, [(i, i + 1) for i in range(7)])
+        data = pickle.dumps(g)
+        assert len(data) == 77
+        assert g.m == 7  # now cached, and pickled along with the fields
+        cached = pickle.dumps(g)
+
+        def refuse(self):
+            raise AssertionError("an unpickled graph was validated again")
+
+        monkeypatch.setattr(Graph, "_rows_valid", refuse)
+        for blob in (data, cached):
+            back = pickle.loads(blob)
+            assert back == g and back.m == 7
+            with pytest.raises(AttributeError):
+                back.n = 1
 
 
 class TestGraph6:

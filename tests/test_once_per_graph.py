@@ -1,8 +1,8 @@
 """The clique number and the true-twin partition are computed once per
 graph: by dimension.lower_bounds, whose LowerBounds every consumer reads.
 The sweep, and `dim` without --witness, solve each graph with one
-hitting-set call and never rebuild a witness, and a suite run normalizes
-its check ids once."""
+hitting-set call and never rebuild a witness, a suite run normalizes its
+check ids once, and the human verify report collects its violations once."""
 
 from __future__ import annotations
 
@@ -31,7 +31,8 @@ def _counted(tally: dict[str, int], name: str, fn):
 @pytest.fixture
 def counts(monkeypatch):
     """Call counters on kernels.max_clique and on twin_partition in every
-    locdim module that holds it."""
+    locdim module whose own namespace holds it. The package resolves the
+    name lazily from invariants, so it sees the wrapper without a patch."""
     tally = {"max_clique": 0, "twin_partition": 0}
     monkeypatch.setattr(
         locdim.kernels, "max_clique", _counted(tally, "max_clique", locdim.kernels.max_clique)
@@ -39,7 +40,7 @@ def counts(monkeypatch):
     original = invariants.twin_partition
     wrapped = _counted(tally, "twin_partition", original)
     for name, module in list(sys.modules.items()):
-        if name.startswith("locdim") and getattr(module, "twin_partition", None) is original:
+        if name.startswith("locdim") and vars(module).get("twin_partition") is original:
             monkeypatch.setattr(module, "twin_partition", wrapped)
     return tally
 
@@ -115,3 +116,15 @@ def test_run_suite_normalizes_the_check_ids_once(monkeypatch):
     )
     assert run_suite(connected_graphs(5)).graph_count == 21
     assert tally == {"normalize_checks": 1}
+
+
+def test_human_verify_collects_the_violations_once(monkeypatch, capsys):
+    # to_text prints them, then the exit code reads report.ok
+    tally = {"violations": 0}
+    collect = verify.SuiteReport.violations.fget
+    monkeypatch.setattr(
+        verify.SuiteReport, "violations", property(_counted(tally, "violations", collect))
+    )
+    assert main(["verify", "--gen", "5"]) == 0
+    assert "violations: none" in capsys.readouterr().out
+    assert tally == {"violations": 1}
