@@ -1,8 +1,8 @@
 """Pure-Python search kernels.
 
 Reference implementations of the five kernels the package runs hot:
-max_clique returns the clique number; min_hitting_set the minimum hitting
-set size; canonical_bits the least upper-triangle bit string over all
+max_clique returns the clique number; min_hitting_set a minimum hitting
+set, as a mask; canonical_bits the least upper-triangle bit string over all
 relabelings; is_canonical whether given bits are that string, with an
 early exit for orderly generation; induced_embedding the first induced
 copy of a pattern, or None. The compiled twin (locdim._speedups) ports
@@ -78,28 +78,31 @@ def _pack_bound(cons: list[int]) -> int:
     return lb
 
 
-def _least(rem: list[int], allowed: int, chosen: int, best: int, floor: int) -> int:
-    """The branch-and-bound below one node: min(best, chosen + the size of
-    the smallest hitting set of rem), except that the search stops as soon
-    as that falls to floor or below. rem holds no empty constraint, lies
-    within allowed (the elements not excluded above this node) and is in
-    size order; the first hitting set found of size at most floor ends the
-    search."""
+def _least(
+    rem: list[int], allowed: int, chosen: int, picked: int, best: int, found: int, floor: int
+) -> tuple[int, int]:
+    """The branch-and-bound below one node, whose chosen elements are the
+    mask picked: (best, found), the size and mask of the smaller of found
+    and picked plus a smallest hitting set of rem, except that the search
+    stops as soon as best falls to floor or below. rem
+    holds no empty constraint, lies within allowed (the elements not
+    excluded above this node) and is in size order; the first hitting set
+    found of size at most floor ends the search."""
     if not rem:
-        return min(chosen, best)
+        return (chosen, picked) if chosen < best else (best, found)
     # rem needs one more element at least, so chosen + 1 >= best prunes
     # before the packing bound is counted
     if best <= floor or chosen + 1 >= best or chosen + _pack_bound(rem) >= best:
-        return best
+        return best, found
     # every hitting set hits rem[0]; branch on its elements, lowest first
     branch = rem[0]
     while True:
         bit = branch & -branch
         child = sorted([c & allowed for c in rem if not c & bit], key=int.bit_count)
-        best = _least(child, allowed, chosen + 1, best, floor)
+        best, found = _least(child, allowed, chosen + 1, picked | bit, best, found, floor)
         branch ^= bit
         if best <= floor or not branch:
-            return best
+            return best, found
         # the later siblings exclude this element; re-count the packing
         # bound on what rem keeps of allowed
         allowed ^= bit
@@ -111,16 +114,19 @@ def _least(rem: list[int], allowed: int, chosen: int, best: int, floor: int) -> 
                 used |= c
                 lb += 1
         if lb >= best:
-            return best
+            return best, found
 
 
 def min_hitting_set(
     universe: int, constraints: Sequence[int], lower_bound: int = 0
 ) -> int:
-    """Exact minimum hitting set size over bitmask constraints.
+    """A minimum hitting set of bitmask constraints, as a mask; its
+    popcount is the minimum size.
 
     Ground elements are bits 0..universe-1. `lower_bound` must be a valid
-    bound for the instance; the search stops as soon as it is met.
+    bound for the instance; the search stops as soon as it is met, and
+    returns the first hitting set found of at most that size. The mask
+    lies within the union of the constraints, and is 0 when there are none.
 
     Only the inclusion-minimal constraints matter, since hitting a subset
     hits every superset. They are found by one pass in (size, value) order
@@ -133,7 +139,8 @@ def min_hitting_set(
     every kept constraint. Elements in no constraint add nothing to the OR,
     and the OR stops once it covers everything.
 
-    One branch-and-bound, _least, finds the value. It branches on the
+    One branch-and-bound, _least, finds the value, carrying the chosen
+    elements as a mask beside their count. It branches on the
     elements of the smallest remaining constraint, rem[0], in ascending
     order, with exclusion: once the subtree that takes v has been searched,
     every hitting set that contains v has been seen, so the later siblings
@@ -150,9 +157,10 @@ def min_hitting_set(
     siblings partition the hitting sets below the node, so no optimum is
     lost.
 
-    The search starts from the greedy cover's size (most hits first, ties
-    to the smaller element) and stops at the floor: the largest of
-    lower_bound, 1 and the packing bound.
+    The search starts from the greedy cover (most hits first, ties to the
+    smaller element) and stops at the floor: the largest of lower_bound, 1
+    and the packing bound. It returns the greedy cover itself when no
+    smaller hitting set is found.
     """
     if not 0 <= universe <= 62:
         raise ValueError(f"universe size must be in 0..62, got {universe}")
@@ -191,13 +199,14 @@ def min_hitting_set(
 
     # greedy cover (most hits first, ties to the smaller element) for the
     # initial upper bound
-    greedy = 0
+    picks = 0
     alive = kept
     while alive:
         hits = [(x & alive).bit_count() for x in contain]
-        alive &= ~contain[hits.index(max(hits))]
-        greedy += 1
-    return _least(cons, support, 0, greedy, floor)
+        pick = hits.index(max(hits))
+        alive &= ~contain[pick]
+        picks |= 1 << pick
+    return _least(cons, support, 0, 0, picks.bit_count(), picks, floor)[1]
 
 
 def _least_string(n: int, adj: Sequence[int], own: int) -> int:

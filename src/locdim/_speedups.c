@@ -2,7 +2,7 @@
 
    The same five kernels on uint64_t masks, each the same algorithm as its
    _pure twin and returning the same values: max_clique the clique number,
-   min_hitting_set the minimum hitting set size, canonical_bits the least
+   min_hitting_set a minimum hitting set as a mask, canonical_bits the least
    upper-triangle bit string, is_canonical whether given bits are that
    string, and induced_embedding the first induced copy or None. The
    docstrings in _pure.py describe the searches; the comments here cover
@@ -181,21 +181,24 @@ unhit(const uint64_t *cons, int k, int v, uint64_t allowed, uint64_t *out)
 
 struct hitting {
     int floor;          /* the search stops once best reaches it */
-    int best;           /* smallest hitting set found so far */
+    int best;           /* size of the smallest hitting set found so far */
+    uint64_t best_set;  /* that hitting set */
     uint64_t *scratch;  /* room for every constraint, for sort_by_size */
 };
 
-/* _pure._least, with best and floor in h. Each level reads its constraint
-   array rem[0..k), in size order and within allowed, and builds its
-   children's arrays right after it, at rem + k. The arena holds one array
-   per level of the deepest branch. */
+/* _pure._least, with best, its set and floor in h; picked holds the chosen
+   elements. Each level reads its constraint array rem[0..k), in size order
+   and within allowed, and builds its children's arrays right after it, at
+   rem + k. The arena holds one array per level of the deepest branch. */
 static void
-hs_search(struct hitting *h, int chosen, uint64_t *rem, int k,
-          uint64_t allowed)
+hs_search(struct hitting *h, int chosen, uint64_t picked, uint64_t *rem,
+          int k, uint64_t allowed)
 {
     if (k == 0) {
-        if (chosen < h->best)
+        if (chosen < h->best) {
             h->best = chosen;
+            h->best_set = picked;
+        }
         return;
     }
     if (h->best <= h->floor || chosen + 1 >= h->best
@@ -206,7 +209,7 @@ hs_search(struct hitting *h, int chosen, uint64_t *rem, int k,
         int v = lowest(bits);
         int nk = unhit(rem, k, v, allowed, child);
         sort_by_size(child, nk, h->scratch);
-        hs_search(h, chosen + 1, child, nk, allowed);
+        hs_search(h, chosen + 1, picked | BIT(v), child, nk, allowed);
         bits &= bits - 1;
         if (h->best <= h->floor || bits == 0)
             return;
@@ -225,11 +228,11 @@ compare_masks(const void *a, const void *b)
 }
 
 /* Greedy most-hits-first cover of cons[0..k), ties to the smaller element;
-   work has room for k masks. Returns its size, the first upper bound. */
-static int
+   work has room for k masks. Returns its picks, the first upper bound. */
+static uint64_t
 greedy_cover(const uint64_t *cons, int k, uint64_t *work)
 {
-    int size = 0;
+    uint64_t picks = 0;
     memcpy(work, cons, (size_t)k * sizeof *cons);
     while (k) {
         int counts[MASK_CAP] = {0}, pick = 0;
@@ -239,20 +242,21 @@ greedy_cover(const uint64_t *cons, int k, uint64_t *work)
         for (int v = 1; v < MASK_CAP; v++)
             if (counts[v] > counts[pick])
                 pick = v;
-        size++;
+        picks |= BIT(pick);
         k = unhit(work, k, pick, ~(uint64_t)0, work);
     }
-    return size;
+    return picks;
 }
 
 /* The value search of _pure on the minimal constraints cons[0..k) in size
-   order, from the greedy cover's size down to the floor. */
+   order, from the greedy cover down to the floor; returns the best set. */
 static PyObject *
 hs_solve(const uint64_t *cons, int k, int lower_bound, uint64_t *scratch)
 {
-    int greedy = greedy_cover(cons, k, scratch);
+    uint64_t picks = greedy_cover(cons, k, scratch);
+    int greedy = popcount(picks);
     struct hitting h = {.floor = lower_bound, .best = greedy,
-                        .scratch = scratch};
+                        .best_set = picks, .scratch = scratch};
     int pack = pack_bound(cons, k, ~(uint64_t)0);
     if (h.floor < 1)
         h.floor = 1;
@@ -264,10 +268,10 @@ hs_solve(const uint64_t *cons, int k, int lower_bound, uint64_t *scratch)
         if (work == NULL)
             return PyErr_NoMemory();
         memcpy(work, cons, (size_t)k * sizeof *cons);
-        hs_search(&h, 0, work, k, ~(uint64_t)0);
+        hs_search(&h, 0, 0, work, k, ~(uint64_t)0);
         PyMem_Free(work);
     }
-    return PyLong_FromLong(h.best);
+    return PyLong_FromUnsignedLongLong(h.best_set);
 }
 
 static PyObject *
@@ -589,9 +593,9 @@ static PyMethodDef methods[] = {
            "n <= 0."),
     KERNEL(min_hitting_set,
            "min_hitting_set(universe, constraints, lower_bound=0)"
-           " -> size\n\n"
-           "Exact minimum hitting set size; lower_bound must be valid for\n"
-           "the instance."),
+           " -> mask\n\n"
+           "A minimum hitting set as a mask, its popcount the minimum size;\n"
+           "lower_bound must be valid for the instance."),
     KERNEL(canonical_bits,
            "canonical_bits(n, adj) -> int\n\n"
            "Minimum upper-triangle bit string over all relabelings, n <= 11."),

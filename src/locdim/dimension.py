@@ -203,39 +203,56 @@ def _distinguisher_masks(g: Graph, mode: str) -> list[int]:
     return masks
 
 
-def _lex_witness(universe: int, masks: Sequence[int], size: int) -> int:
-    """The lexicographically smallest hitting set of `size` elements, as a
-    mask, for masks whose minimum hitting set has that size.
+def _lex_witness(universe: int, masks: Sequence[int], found: int) -> int:
+    """The lexicographically smallest minimum hitting set of masks, as a
+    mask, given `found`, some minimum hitting set of them.
 
-    It is built one element at a time, ascending: v is taken when the
-    constraints it leaves unhit, restricted to the elements after v, have a
-    hitting set within the budget B = size - taken - 1. Each probe is one
-    kernel call with lower_bound B. B is a valid floor there: the elements
-    already taken, v and any hitting set of the restricted system together
-    hit every mask, so they number at least `size`. An empty system accepts
-    v and a spent budget with constraints left rejects it, without a call.
-    No restricted constraint is empty: while v is probed, some optimal set
-    extends the taken elements with elements from v on, so each constraint
-    v leaves unhit keeps an element after v.
+    It is built one element at a time, ascending. It keeps H, an optimum
+    that contains the elements taken so far and has all its other elements
+    at or after the next candidate; `found` is the first H. Candidate v is
+    taken when the constraints it leaves unhit, restricted to the elements
+    after v, have a hitting set within the budget B = size - taken - 1:
+
+    - When v is the lowest element of H outside the taken ones, H proves
+      this without a kernel call. Every u between the last taken element
+      and v was rejected, and H has none of them. So H minus the taken
+      elements and v lies after v, has exactly B elements and hits every
+      constraint v misses: the probe below would accept v too.
+    - Otherwise v is probed, by one kernel call with lower_bound B. B is a
+      valid floor there: the elements already taken, v and any hitting set
+      of the restricted system together hit every mask, so they number at
+      least `size`. The kernel's set lies within the restricted system,
+      after v, so when it has at most B elements, the taken ones, v and it
+      form the next H.
+
+    An empty system accepts v and a spent budget with constraints left
+    rejects it, without a call. No restricted constraint is empty: while v
+    is probed, H extends the taken elements with elements from v on, so
+    each constraint v leaves unhit keeps an element after v.
     """
+    size = found.bit_count()
     witness = 0
-    taken = 0
     rem = masks
     start = 0
     while rem:
+        budget = size - witness.bit_count() - 1
+        free = found & ~witness
+        lowest = (free & -free).bit_length() - 1
         for v in range(start, universe):
             above = -2 << v  # the elements after v
             # restricting makes duplicates; the kernel would drop them too
             restricted = list({c & above for c in rem if not c >> v & 1})
-            budget = size - taken - 1
-            if not restricted or (
-                budget > 0 and kernels.min_hitting_set(universe, restricted, budget) <= budget
-            ):
-                witness |= 1 << v
-                taken += 1
-                rem = restricted
-                start = v + 1
-                break
+            if v != lowest and restricted:
+                if budget <= 0:
+                    continue
+                rest = kernels.min_hitting_set(universe, restricted, budget)
+                if rest.bit_count() > budget:
+                    continue
+                found = witness | 1 << v | rest
+            witness |= 1 << v
+            rem = restricted
+            start = v + 1
+            break
         else:
             raise AssertionError("hitting-set witness reconstruction failed")
     return witness
@@ -244,7 +261,7 @@ def _lex_witness(universe: int, masks: Sequence[int], size: int) -> int:
 def _value(g: Graph, mode: str, bounds: LowerBounds) -> int:
     """The dimension in `mode` alone, searched from lower_bounds(g): one
     kernel call and no witness, for callers that read only the value."""
-    return kernels.min_hitting_set(g.n, _distinguisher_masks(g, mode), bounds.best)
+    return kernels.min_hitting_set(g.n, _distinguisher_masks(g, mode), bounds.best).bit_count()
 
 
 def _solve(g: Graph, mode: str, bounds: LowerBounds) -> DimResult:
@@ -254,13 +271,13 @@ def _solve(g: Graph, mode: str, bounds: LowerBounds) -> DimResult:
     lower_bounds has already rejected a disconnected graph."""
     masks = _distinguisher_masks(g, mode)
     # the floors hold for the local mode and the full mode dominates it
-    size = kernels.min_hitting_set(g.n, masks, bounds.best)
-    mask = _lex_witness(g.n, masks, size)
+    found = kernels.min_hitting_set(g.n, masks, bounds.best)
+    mask = _lex_witness(g.n, masks, found)
     for i, c in enumerate(masks):
         if not c & mask:
             pair = distinguisher_sets(g, mode=mode).constraints[i].pair
             raise AssertionError(f"solver returned a non-hitting set for pair {pair}")
-    return DimResult(size, tuple(bit_indices(mask)), bounds)
+    return DimResult(found.bit_count(), tuple(bit_indices(mask)), bounds)
 
 
 def local_metric_dimension(g: Graph) -> DimResult:

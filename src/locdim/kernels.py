@@ -4,9 +4,9 @@ Imports the compiled extension when it is built, the pure-Python
 implementations otherwise. Set LOCDIM_NO_SPEEDUPS=1 to force the pure
 backend (useful for benchmarking and for debugging kernel disagreements).
 Both backends export the same five kernels with identical outputs:
-max_clique -> clique number, min_hitting_set -> hitting set size,
-canonical_bits -> canonical triangle bits, is_canonical -> bool, and
-induced_embedding -> mapping tuple or None.
+max_clique -> clique number, min_hitting_set -> a minimum hitting set as
+a mask (its popcount is the size), canonical_bits -> canonical triangle
+bits, is_canonical -> bool, and induced_embedding -> mapping tuple or None.
 """
 
 from __future__ import annotations

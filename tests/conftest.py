@@ -110,6 +110,31 @@ def naive_hitting_set(universe: int, masks) -> tuple[int, int]:
     raise AssertionError("no hitting set: some mask is empty")
 
 
+def naive_optima(universe: int, masks) -> list[int]:
+    """Every minimum hitting set of masks over elements 0..universe-1, as
+    masks, lexicographically smallest first."""
+    size = naive_hitting_set(universe, masks)[0]
+    optima = []
+    for combo in itertools.combinations(range(universe), size):
+        chosen = sum(1 << v for v in combo)
+        if all(m & chosen for m in masks):
+            optima.append(chosen)
+    return optima
+
+
+def assert_hitting_set(universe: int, masks, found: int, size: int, context=()) -> None:
+    """The min_hitting_set contract: found is a mask within the universe,
+    and within the union of the masks, that hits every mask and has `size`
+    elements."""
+    union = 0
+    for m in masks:
+        union |= m
+    assert found >= 0 and not found >> universe, (found, universe, *context)
+    assert not found & ~union, (found, union, *context)
+    assert all(m & found for m in masks), (found, masks, *context)
+    assert found.bit_count() == size, (found, size, *context)
+
+
 def naive_induced_exists(host: Graph, pattern: Graph) -> bool:
     """Injective assignments in pattern-index order; prefix-inconsistent
     branches abandoned, nothing else pruned."""

@@ -115,8 +115,9 @@ def _dense_systems() -> list[tuple[int, list[int], int]]:
 
 
 def test_min_hitting_set_agreement(compiled, monkeypatch):
-    """Sizes, and the witness dimension._lex_witness rebuilds from each
-    backend's probes."""
+    """The same hitting set from both backends, not only the same size, and
+    the same witness dimension._lex_witness rebuilds from each backend's
+    set and probes."""
     rng = random.Random(SEED + 1)
     cases = []
     for _ in range(300):
@@ -138,12 +139,12 @@ def test_min_hitting_set_agreement(compiled, monkeypatch):
         cases.append((62, masks, rng.randint(0, 1)))
     cases += _dense_systems()
     for universe, masks, lb in cases:
-        size = _pure.min_hitting_set(universe, masks, lb)
-        assert size == compiled.min_hitting_set(universe, masks, lb), (universe, masks, lb)
+        found = _pure.min_hitting_set(universe, masks, lb)
+        assert found == compiled.min_hitting_set(universe, masks, lb), (universe, masks, lb)
         witnesses = []
         for kernel in (_pure, compiled):
             monkeypatch.setattr(locdim.kernels, "min_hitting_set", kernel.min_hitting_set)
-            witnesses.append(_lex_witness(universe, masks, size))
+            witnesses.append(_lex_witness(universe, masks, found))
         assert witnesses[0] == witnesses[1], (universe, masks)
 
 

@@ -6,7 +6,14 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import naive_dimension, naive_hitting_set, random_connected, stream_upto
+from conftest import (
+    assert_hitting_set,
+    naive_dimension,
+    naive_hitting_set,
+    naive_optima,
+    random_connected,
+    stream_upto,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +30,7 @@ from locdim.dimension import (
     lower_bounds,
     metric_dimension,
 )
+from locdim.enumeration import connected_graphs
 from locdim.families import (
     apex_triangles,
     complete,
@@ -278,8 +286,9 @@ class TestWitnessProbes:
         masks = _masks((0, 1, 2), (1, 3), (2, 3))
         expected = (2, _masks((0, 3))[0])
         assert naive_hitting_set(4, masks) == expected
-        assert kernel.min_hitting_set(4, masks, 0) == expected[0]
-        assert _lex_witness(4, masks, expected[0]) == expected[1]
+        found = kernel.min_hitting_set(4, masks, 0)
+        assert_hitting_set(4, masks, found, expected[0])
+        assert _lex_witness(4, masks, found) == expected[1]
 
     def test_lower_bound_at_the_value_skips_the_value_search(self, kernel):
         # greedy takes {3, 4, 5}, which meets lower_bound 3 (the packing
@@ -287,8 +296,64 @@ class TestWitnessProbes:
         masks = _masks((1, 2, 4), (2, 3, 4), (1, 5), (3, 6), (4, 6), (5, 6))
         expected = (3, _masks((1, 2, 6))[0])
         assert naive_hitting_set(7, masks) == expected
-        assert kernel.min_hitting_set(7, masks, 3) == expected[0]
-        assert _lex_witness(7, masks, expected[0]) == expected[1]
+        found = kernel.min_hitting_set(7, masks, 3)
+        assert found == _masks((3, 4, 5))[0]
+        assert_hitting_set(7, masks, found, expected[0])
+        assert _lex_witness(7, masks, found) == expected[1]
+
+
+class TestLexWitnessRebuild:
+    """_lex_witness against subset search, from every optimum it can be
+    handed; both backends answer its probes, through the kernel fixture."""
+
+    @staticmethod
+    def _counting(monkeypatch) -> dict[str, int]:
+        """Counters on kernels.min_hitting_set: every call, and the calls
+        whose set is within their lower bound, which accept an element
+        when they come from the rebuild."""
+        tally = {"calls": 0, "accepting": 0}
+        kernel = locdim.kernels.min_hitting_set
+
+        def counted(universe, masks, lower_bound=0):
+            found = kernel(universe, masks, lower_bound)
+            tally["calls"] += 1
+            tally["accepting"] += found.bit_count() <= lower_bound
+            return found
+
+        monkeypatch.setattr(locdim.kernels, "min_hitting_set", counted)
+        return tally
+
+    def test_every_optimum_rebuilds_the_lex_smallest(self, kernel, monkeypatch):
+        """Whichever optimum arrives as `found`, the witness is the lex-
+        smallest one. Handed that one, the rebuild takes each of its
+        elements without a kernel call; what calls remain reject an element
+        below the next one of it."""
+        tally = self._counting(monkeypatch)
+        rng = random.Random(0x1E8)
+        for _ in range(300):
+            universe = rng.randint(1, 8)
+            masks = _random_system(rng, universe)
+            optima = naive_optima(universe, masks)
+            for found in optima:
+                assert _lex_witness(universe, masks, found) == optima[0], (masks, found)
+            tally.update(calls=0, accepting=0)
+            assert _lex_witness(universe, masks, optima[0]) == optima[0]
+            assert tally["accepting"] == 0, (masks, tally)
+            # a witness whose elements come first, lowest up, needs no
+            # rejection either
+            if optima[0] == (1 << optima[0].bit_count()) - 1:
+                assert tally["calls"] == 0, (masks, tally)
+
+    def test_kernel_calls_over_order_six(self, kernel, monkeypatch):
+        """local_metric_dimension over every connected order-6 class makes
+        at most 132 kernel calls, value searches and rebuild probes
+        together; probing every witness element took 256."""
+        tally = self._counting(monkeypatch)
+        graphs = list(connected_graphs(6))
+        for g in graphs:
+            local_metric_dimension(g)
+        assert len(graphs) == 112
+        assert tally["calls"] <= 132
 
 
 def _random_system(rng: random.Random, universe: int) -> list[int]:
@@ -310,10 +375,10 @@ def _random_system(rng: random.Random, universe: int) -> list[int]:
 
 
 class TestHittingSetOracle:
-    """The kernel's value, under every valid lower bound the solver can be
-    handed, and the lex-smallest witness rebuilt from its probes, against
-    subset search. Each test runs both backends in turn, each also behind
-    kernels.min_hitting_set."""
+    """The kernel's set, under every valid lower bound the solver can be
+    handed, and the lex-smallest witness rebuilt from it and its probes,
+    against subset search. Each test runs both backends in turn, each also
+    behind kernels.min_hitting_set."""
 
     @pytest.fixture
     def check(self, compiled, monkeypatch):
@@ -322,13 +387,9 @@ class TestHittingSetOracle:
             for kernel in (_pure, compiled):
                 monkeypatch.setattr(locdim.kernels, "min_hitting_set", kernel.min_hitting_set)
                 for lb in sorted({0, 1, size}):
-                    assert kernel.min_hitting_set(universe, masks, lb) == size, (
-                        kernel.__name__,
-                        universe,
-                        masks,
-                        lb,
-                    )
-                assert _lex_witness(universe, masks, size) == witness, (
+                    found = kernel.min_hitting_set(universe, masks, lb)
+                    assert_hitting_set(universe, masks, found, size, (kernel.__name__, lb))
+                assert _lex_witness(universe, masks, found) == witness, (
                     kernel.__name__,
                     universe,
                     masks,
@@ -376,7 +437,8 @@ class TestHittingSetOracle:
 
 def test_value_ignores_order_duplicates_and_supersets(impl):
     """Permuting the constraints, repeating some or adding supersets of
-    them leaves the value alone; both backends."""
+    them leaves the value alone, and every set returned is a hitting set
+    within the universe; both backends."""
     rng = random.Random(0x5E75)
     systems = [
         (universe, _random_system(rng, universe))
@@ -387,14 +449,19 @@ def test_value_ignores_order_duplicates_and_supersets(impl):
         for g in (random_connected(rng, 20, p) for p in (0.6, 0.9))
     ]
     for universe, masks in systems:
-        size = impl.min_hitting_set(universe, masks, 0)
+        found = impl.min_hitting_set(universe, masks, 0)
+        size = found.bit_count()
+        # the two graph systems are past subset search
+        if universe <= 14:
+            assert_hitting_set(universe, masks, found, naive_hitting_set(universe, masks)[0])
         extra = rng.randint(1, len(masks))
         shuffled = rng.sample(masks, len(masks))
         doubled = masks + rng.choices(masks, k=extra)
         wider = masks + [c | rng.getrandbits(universe) for c in rng.choices(masks, k=extra)]
         mixed = rng.sample(doubled + wider, len(doubled + wider))
         for variant in (shuffled, doubled, wider, mixed):
-            assert impl.min_hitting_set(universe, variant, 0) == size, (universe, masks)
+            found = impl.min_hitting_set(universe, variant, 0)
+            assert_hitting_set(universe, variant, found, size, (masks,))
 
 
 class TestPureSearch:
@@ -409,13 +476,17 @@ class TestPureSearch:
         nodes = 0
         original = _pure._least
 
-        def checked(rem, allowed, chosen, best, floor):
+        def checked(rem, allowed, chosen, picked, best, found, floor):
             nonlocal nodes
             nodes += 1
             assert all(c and not c & ~allowed for c in rem), (rem, allowed)
             sizes = [c.bit_count() for c in rem]
             assert sizes == sorted(sizes), rem
-            return original(rem, allowed, chosen, best, floor)
+            # picked holds the chosen elements, and no constraint left to
+            # hit holds one of them
+            assert picked.bit_count() == chosen and found.bit_count() == best
+            assert not any(c & picked for c in rem), (rem, picked)
+            return original(rem, allowed, chosen, picked, best, found, floor)
 
         monkeypatch.setattr(_pure, "_least", checked)
         rng = random.Random(0xA110)
@@ -446,7 +517,7 @@ class TestPureSearch:
         monkeypatch.setattr(_pure, "_least", counted)
         g = random_connected(random.Random(0), n, p)
         masks = _distinguisher_masks(g, "local")
-        assert _pure.min_hitting_set(g.n, masks, lower_bounds(g).best) == value
+        assert _pure.min_hitting_set(g.n, masks, lower_bounds(g).best).bit_count() == value
         assert nodes <= ceiling
 
 
