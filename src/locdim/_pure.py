@@ -125,7 +125,9 @@ def min_hitting_set(
 
     Ground elements are bits 0..universe-1. `lower_bound` must be a valid
     bound for the instance; the search stops as soon as it is met, and
-    returns the first hitting set found of at most that size. The mask
+    returns the first hitting set found of at most that size. Its one user
+    is the witness rebuild, which passes a probe's budget; the value
+    searches pass none, so no reported floor is taken on trust. The mask
     lies within the union of the constraints, and is 0 when there are none.
 
     Only the inclusion-minimal constraints matter, since hitting a subset

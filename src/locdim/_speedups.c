@@ -6,10 +6,13 @@
    upper-triangle bit string, is_canonical whether given bits are that
    string, and induced_embedding the first induced copy or None. The
    docstrings in _pure.py describe the searches; the comments here cover
-   what the port changes. Vertex counts and universes never exceed 62, so
-   a mask fits one word; every fixed-size array is guarded by the range
-   check that raises ValueError. locdim.kernels picks a backend at import
-   time.
+   what the port changes. One step differs in method: _pure finds the
+   inclusion-minimal constraints with a containment index, and this file
+   with a pairwise subset scan. Both keep the same constraints in the same
+   (size, value) order, so the searches that follow are identical. Vertex
+   counts and universes never exceed 62, so a mask fits one word; every
+   fixed-size array is guarded by the range check that raises ValueError.
+   locdim.kernels picks a backend at import time.
 
    setup.py builds this file as locdim._speedups when a C compiler exists.
    By hand:
@@ -595,7 +598,8 @@ static PyMethodDef methods[] = {
            "min_hitting_set(universe, constraints, lower_bound=0)"
            " -> mask\n\n"
            "A minimum hitting set as a mask, its popcount the minimum size;\n"
-           "lower_bound must be valid for the instance."),
+           "lower_bound must be valid for the instance: the witness\n"
+           "rebuild passes a probe's budget, value searches pass none."),
     KERNEL(canonical_bits,
            "canonical_bits(n, adj) -> int\n\n"
            "Minimum upper-triangle bit string over all relabelings, n <= 11."),

@@ -113,7 +113,7 @@ def _cmd_dim(args) -> int:
             tail = " witness=" + (",".join(map(str, result.witness)) or "-")
         else:
             bounds = lower_bounds(g)
-            value = _value(g, args.mode, bounds)
+            value = _value(g, args.mode)
             tail = ""
         print(
             f"id={name} n={g.n} m={g.m} omega={bounds.omega}"

@@ -10,6 +10,7 @@ construction over all vertex pairs instead of edges.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
@@ -28,7 +29,8 @@ MODES = ("local", "full")
 
 
 class LowerBounds(NamedTuple):
-    """Search floors for the local dimension of a connected graph.
+    """The paper's floors on the local dimension of a connected graph:
+    reported and checked (C4, C5), never handed to the value search.
 
     twin: n minus the number of true-twin classes.
     log_clique: ceil(log2 omega).
@@ -68,8 +70,8 @@ class ConstraintSystem(NamedTuple):
 
 class DimResult(NamedTuple):
     """value: the exact dimension; witness: the lexicographically smallest
-    optimal set, sorted ascending; bounds: the floors the search started
-    from."""
+    optimal set, sorted ascending; bounds: the graph's floors, reported
+    beside a value that was solved without them."""
 
     value: int
     witness: tuple[int, ...]
@@ -122,38 +124,37 @@ def _check_vertex_set(g: Graph, vertices: Iterable[int]) -> int:
     return mask
 
 
+def _resolves(
+    g: Graph,
+    vertices: Iterable[int],
+    dm: DistanceMatrix | None,
+    pairs: Iterable[tuple[int, int]],
+) -> bool:
+    """Whether every (u, v) of pairs with both ends outside the set is split
+    by some member, straight from the distances."""
+    mask = _check_vertex_set(g, vertices)
+    if dm is None:
+        dm = bfs_distances(g)
+    members = tuple(bit_indices(mask))
+    return all(
+        mask >> u & 1 or mask >> v & 1 or any(dm.d[u][w] != dm.d[v][w] for w in members)
+        for u, v in pairs
+    )
+
+
 def is_local_resolving(
     g: Graph, vertices: Iterable[int], dm: DistanceMatrix | None = None
 ) -> bool:
     """Definition-level check, no hitting-set machinery: every edge with
     both endpoints outside the set must be split by some member."""
-    mask = _check_vertex_set(g, vertices)
-    if dm is None:
-        dm = bfs_distances(g)
-    members = tuple(bit_indices(mask))
-    for u, v in g.edges():
-        if (mask >> u) & 1 or (mask >> v) & 1:
-            continue
-        if not any(dm.d[u][w] != dm.d[v][w] for w in members):
-            return False
-    return True
+    return _resolves(g, vertices, dm, g.edges())
 
 
 def is_resolving(
     g: Graph, vertices: Iterable[int], dm: DistanceMatrix | None = None
 ) -> bool:
     """Like is_local_resolving but over all vertex pairs, not just edges."""
-    mask = _check_vertex_set(g, vertices)
-    if dm is None:
-        dm = bfs_distances(g)
-    members = tuple(bit_indices(mask))
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if (mask >> u) & 1 or (mask >> v) & 1:
-                continue
-            if not any(dm.d[u][w] != dm.d[v][w] for w in members):
-                return False
-    return True
+    return _resolves(g, vertices, dm, itertools.combinations(range(g.n), 2))
 
 
 def _distinguisher_masks(g: Graph, mode: str) -> list[int]:
@@ -258,20 +259,19 @@ def _lex_witness(universe: int, masks: Sequence[int], found: int) -> int:
     return witness
 
 
-def _value(g: Graph, mode: str, bounds: LowerBounds) -> int:
-    """The dimension in `mode` alone, searched from lower_bounds(g): one
-    kernel call and no witness, for callers that read only the value."""
-    return kernels.min_hitting_set(g.n, _distinguisher_masks(g, mode), bounds.best).bit_count()
+def _value(g: Graph, mode: str) -> int:
+    """The dimension in `mode` of a connected graph alone: one kernel call
+    and no witness, for callers that read only the value."""
+    return kernels.min_hitting_set(g.n, _distinguisher_masks(g, mode)).bit_count()
 
 
-def _solve(g: Graph, mode: str, bounds: LowerBounds) -> DimResult:
-    """The dimension in `mode` and its witness, searched from the floors
-    lower_bounds(g) returned; callers that need the clique number before
-    deciding to solve hand those bounds in, so it is computed once.
-    lower_bounds has already rejected a disconnected graph."""
+def _solve(g: Graph, mode: str) -> DimResult:
+    """The dimension in `mode`, its witness and the graph's floors. The
+    floors are computed beside the value, never fed to its search, and
+    lower_bounds rejects a disconnected graph."""
+    bounds = lower_bounds(g)
     masks = _distinguisher_masks(g, mode)
-    # the floors hold for the local mode and the full mode dominates it
-    found = kernels.min_hitting_set(g.n, masks, bounds.best)
+    found = kernels.min_hitting_set(g.n, masks)
     mask = _lex_witness(g.n, masks, found)
     for i, c in enumerate(masks):
         if not c & mask:
@@ -282,9 +282,9 @@ def _solve(g: Graph, mode: str, bounds: LowerBounds) -> DimResult:
 
 def local_metric_dimension(g: Graph) -> DimResult:
     """Exact local metric dimension of a connected graph (0 for n = 1)."""
-    return _solve(g, "local", lower_bounds(g))
+    return _solve(g, "local")
 
 
 def metric_dimension(g: Graph) -> DimResult:
     """Exact metric dimension of a connected graph."""
-    return _solve(g, "full", lower_bounds(g))
+    return _solve(g, "full")

@@ -59,44 +59,35 @@ def _graph_id(g: Graph) -> str:
 
 
 class GraphFacts:
-    """Everything the checks consult, computed once per graph."""
+    """Everything the checks consult, computed once per graph. The value
+    is solved from the constraints alone, so C4 and C5 test the floors in
+    `bounds` against it. Only gamma_free waits for its first read: the
+    checks read it only when omega = n-2, and it costs two embedding
+    searches."""
 
     def __init__(self, g: Graph):
         self.g = g
-        self.n = g.n
+        self.n = n = g.n
         self.bounds = lower_bounds(g)
         # the value alone: no check reads a witness
-        self.dim_local = _value(g, "local", self.bounds)
+        self.dim_local = _value(g, "local")
         self.omega = self.bounds.omega
         # read off the clique number the floors already computed
-        self.is_complete = self.omega == self.n
+        self.is_complete = self.omega == n
         self.triangle_free = self.omega <= 2
-
-    @functools.cached_property
-    def graph_id(self) -> str:
-        return _graph_id(self.g)
-
-    @functools.cached_property
-    def bipartite(self) -> bool:
-        return is_bipartite(self.g)
+        self.graph_id = _graph_id(g)
+        self.bipartite = is_bipartite(g)
+        # the 5-cycle is the only connected 2-regular graph on 5 vertices
+        self.is_cycle5 = n == 5 and all(g.degree(v) == 2 for v in range(5))
+        # a clique-minus-biclique member with both removed blocks of size >= 2
+        params = complete_minus_bipartite_params(g)
+        self.is_split_extremal = params is not None and params[1] >= 2
 
     @functools.cached_property
     def gamma_free(self) -> bool:
         return is_gamma_free(self.g)
 
-    @functools.cached_property
-    def is_cycle5(self) -> bool:
-        # the 5-cycle is the only connected 2-regular graph on 5 vertices
-        return self.n == 5 and all(self.g.degree(v) == 2 for v in range(5))
-
-    @functools.cached_property
-    def is_split_extremal(self) -> bool:
-        """Member of the clique-minus-biclique family with both removed
-        blocks of size at least 2."""
-        params = complete_minus_bipartite_params(self.g)
-        return params is not None and params[1] >= 2
-
-    @functools.cached_property
+    @property
     def classified_n_minus_3(self) -> bool:
         """Predicted member of the dim_local = n-3 class: a gamma-free graph
         with clique number n-2, the 5-cycle, or a clique-minus-biclique
@@ -519,7 +510,7 @@ def scan_clique_ratio(
     """Exact-integer scan of dim_local*(omega-1) <= (omega-2)*n over graphs
     meeting the n >= omega+1 >= 4 gate; omega_values optionally narrows the
     clique numbers scanned. The gate reads omega from lower_bounds, and only
-    graphs that pass it are solved, for the value alone and from those same
+    graphs that pass it are solved, for the value alone and without those
     bounds."""
     wanted = None if omega_values is None else set(omega_values)
     total = 0
@@ -527,14 +518,13 @@ def scan_clique_ratio(
     violations = []
     for g in graphs:
         total += 1
-        bounds = lower_bounds(g)
-        omega = bounds.omega
+        omega = lower_bounds(g).omega
         if omega < 3 or g.n < omega + 1:
             continue
         if wanted is not None and omega not in wanted:
             continue
         applicable += 1
-        dim_local = _value(g, "local", bounds)
+        dim_local = _value(g, "local")
         holds, details = _clique_ratio(dim_local, omega, g.n)
         if not holds:
             violations.append((_graph_id(g), details))

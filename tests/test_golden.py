@@ -3,7 +3,10 @@
 The digests pin the exact stdout of `verify` in both formats (the human
 table with its `elapsed:` figure masked), `dim` in both modes and `scan`,
 so refactors of the solver, the checks or the input parsing must keep
-every byte (ids, floors, witnesses, verdicts) the same.
+every byte (ids, floors, witnesses, verdicts) the same. The module's tests
+run on the pure kernels; TestCompiledKernels runs each of them again on the
+compiled build. Both patch the five names of locdim.kernels and start from
+an empty class memo, so generation runs on the backend under test too.
 """
 
 from __future__ import annotations
@@ -13,9 +16,25 @@ import re
 
 import pytest
 
+from locdim import _pure, enumeration, kernels
 from locdim.cli import main
 from locdim.enumeration import connected_graphs
 from locdim.graphs import GRAPH6_HEADER, to_graph6
+
+KERNELS = ("max_clique", "min_hitting_set", "canonical_bits", "is_canonical", "induced_embedding")
+
+
+def use_kernels(monkeypatch, backend) -> None:
+    """Point locdim.kernels at backend's five kernels and empty the memo of
+    generated class bits."""
+    for name in KERNELS:
+        monkeypatch.setattr(kernels, name, getattr(backend, name))
+    monkeypatch.setattr(enumeration, "_CLASS_BITS", {})
+
+
+@pytest.fixture(autouse=True)
+def pure_kernels(monkeypatch):
+    use_kernels(monkeypatch, _pure)
 
 
 def stdout_sha256(capsys, *argv: str, mask: tuple[str, str] | None = None) -> str:
@@ -70,3 +89,16 @@ def test_scan_gen_seven(capsys):
     assert stdout_sha256(capsys, "scan", "--gen", "7") == (
         "0e8c4b94fde725945a0b1264fc98ba346683d6124328692340210ae3ed5b3839"
     )
+
+
+class TestCompiledKernels:
+    """Every digest above, on the compiled build."""
+
+    @pytest.fixture(autouse=True)
+    def compiled_kernels(self, pure_kernels, compiled, monkeypatch):
+        use_kernels(monkeypatch, compiled)
+
+    test_verify_records_gen_seven = staticmethod(test_verify_records_gen_seven)
+    test_verify_text_gen_seven = staticmethod(test_verify_text_gen_seven)
+    test_dim_witness_order_seven = staticmethod(test_dim_witness_order_seven)
+    test_scan_gen_seven = staticmethod(test_scan_gen_seven)

@@ -2,7 +2,9 @@
 graph: by dimension.lower_bounds, whose LowerBounds every consumer reads.
 The sweep, and `dim` without --witness, solve each graph with one
 hitting-set call and never rebuild a witness, a suite run normalizes its
-check ids once, and the human verify report collects its violations once."""
+check ids once, and the human verify report collects its violations once.
+No floor reaches a value search: only the witness rebuild hands the kernel
+a lower bound."""
 
 from __future__ import annotations
 
@@ -70,10 +72,19 @@ def test_scan_computes_each_once(counts):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Call counters on kernels.min_hitting_set and on the witness rebuild."""
-    tally = {"min_hitting_set": 0, "_lex_witness": 0}
-    for module, name in ((locdim.kernels, "min_hitting_set"), (dimension, "_lex_witness")):
-        monkeypatch.setattr(module, name, _counted(tally, name, getattr(module, name)))
+    """The lower_bound of every kernels.min_hitting_set call, in call order
+    ("floors"), and a call counter on the witness rebuild."""
+    tally = {"_lex_witness": 0, "floors": []}
+    kernel = locdim.kernels.min_hitting_set
+
+    def recorded(universe, constraints, lower_bound=0):
+        tally["floors"].append(lower_bound)
+        return kernel(universe, constraints, lower_bound)
+
+    monkeypatch.setattr(locdim.kernels, "min_hitting_set", recorded)
+    monkeypatch.setattr(
+        dimension, "_lex_witness", _counted(tally, "_lex_witness", dimension._lex_witness)
+    )
     return tally
 
 
@@ -81,13 +92,24 @@ def test_check_graph_solves_once_and_never_rebuilds(solves):
     graphs = list(connected_graphs(5))
     for g in graphs:
         check_graph(g)
-    assert solves == {"min_hitting_set": len(graphs), "_lex_witness": 0}
+    n = len(graphs)
+    assert solves == {"_lex_witness": 0, "floors": [0] * n}
 
 
 def test_scan_never_rebuilds(solves):
     report = scan_clique_ratio(connected_graphs(5))
     assert report.applicable > 0
-    assert solves["_lex_witness"] == 0
+    n = report.applicable
+    assert solves == {"_lex_witness": 0, "floors": [0] * n}
+
+
+@pytest.mark.parametrize("solve", [dimension.local_metric_dimension, dimension.metric_dimension])
+def test_value_search_of_a_solve_is_unseeded(solves, solve):
+    for g in connected_graphs(5):
+        solves["floors"].clear()
+        solve(g)
+        # the calls after the first are the rebuild's probes, with budgets
+        assert solves["floors"][0] == 0, g
 
 
 def test_dim_witness_rebuilds_once_per_line(solves, capsys, tmp_path):
@@ -106,7 +128,7 @@ def test_dim_without_witness_never_rebuilds(solves, capsys, tmp_path, mode):
     assert main(["dim", "--input", str(target), "--mode", mode]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 21 and not any(" witness=" in line for line in lines)
-    assert solves == {"min_hitting_set": 21, "_lex_witness": 0}
+    assert solves == {"_lex_witness": 0, "floors": [0] * 21}
 
 
 def test_run_suite_normalizes_the_check_ids_once(monkeypatch):

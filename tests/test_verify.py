@@ -361,7 +361,7 @@ class TestScan:
         monkeypatch.setattr(
             locdim.kernels,
             "min_hitting_set",
-            lambda n, masks, lower: solved.append(n) or kernel(n, masks, lower),
+            lambda n, masks, lower=0: solved.append(n) or kernel(n, masks, lower),
         )
         report = scan_clique_ratio(connected_graphs(6), omega_values=[6])
         assert (report.total, report.applicable, solved) == (112, 0, [])
