@@ -87,12 +87,23 @@ def _least(
     stops as soon as best falls to floor or below. rem
     holds no empty constraint, lies within allowed (the elements not
     excluded above this node) and is in size order; the first hitting set
-    found of size at most floor ends the search."""
+    found of size at most floor ends the search. A node with
+    chosen + 2 == best answers with one AND of rem instead of branching,
+    taking the AND's lowest element (see min_hitting_set)."""
     if not rem:
         return (chosen, picked) if chosen < best else (best, found)
     # rem needs one more element at least, so chosen + 1 >= best prunes
     # before the packing bound is counted
-    if best <= floor or chosen + 1 >= best or chosen + _pack_bound(rem) >= best:
+    if best <= floor or chosen + 1 >= best:
+        return best, found
+    if chosen + 2 == best:
+        common = allowed
+        for c in rem:
+            common &= c
+            if not common:
+                return best, found
+        return chosen + 1, picked | (common & -common)
+    if chosen + _pack_bound(rem) >= best:
         return best, found
     # every hitting set hits rem[0]; branch on its elements, lowest first
     branch = rem[0]
@@ -158,6 +169,15 @@ def min_hitting_set(
     constraint, and the siblings end with rem[0]'s last element. The
     siblings partition the hitting sets below the node, so no optimum is
     lost.
+
+    A node whose chosen count is two below best can improve best only with
+    one element that hits every remaining constraint, so it does not
+    branch. It ANDs its constraints into allowed, stopping once the AND is
+    0, and a non-zero AND gives its lowest element. That is the set the
+    sibling loop would return: the AND lies within rem[0], whose siblings
+    run lowest first, so its lowest element is the first sibling with an
+    empty child; the siblings before it fail at once and exclude only
+    elements outside the AND, so the packing bound stays 1 up to it.
 
     The search starts from the greedy cover (most hits first, ties to the
     smaller element) and stops at the floor: the largest of lower_bound, 1

@@ -192,7 +192,11 @@ struct hitting {
 /* _pure._least, with best, its set and floor in h; picked holds the chosen
    elements. Each level reads its constraint array rem[0..k), in size order
    and within allowed, and builds its children's arrays right after it, at
-   rem + k. The arena holds one array per level of the deepest branch. */
+   rem + k. A node with chosen + 2 == best builds none: it ANDs rem into
+   allowed and takes the lowest common element, if any, which is the
+   sibling the loop would stop at. So only nodes with chosen <= best - 3
+   branch, the arrays end at level best - 2, and the k * greedy arena of
+   hs_solve holds them with one array to spare. */
 static void
 hs_search(struct hitting *h, int chosen, uint64_t picked, uint64_t *rem,
           int k, uint64_t allowed)
@@ -204,8 +208,19 @@ hs_search(struct hitting *h, int chosen, uint64_t picked, uint64_t *rem,
         }
         return;
     }
-    if (h->best <= h->floor || chosen + 1 >= h->best
-        || chosen + pack_bound(rem, k, allowed) >= h->best)
+    if (h->best <= h->floor || chosen + 1 >= h->best)
+        return;
+    if (chosen + 2 == h->best) {
+        uint64_t common = allowed;
+        for (int i = 0; i < k && common; i++)
+            common &= rem[i];
+        if (common) {
+            h->best = chosen + 1;
+            h->best_set = picked | (common & -common);
+        }
+        return;
+    }
+    if (chosen + pack_bound(rem, k, allowed) >= h->best)
         return;
     uint64_t *child = rem + k;
     for (uint64_t bits = rem[0];;) {
@@ -266,7 +281,7 @@ hs_solve(const uint64_t *cons, int k, int lower_bound, uint64_t *scratch)
     if (h.floor < pack)
         h.floor = pack;
     if (h.best > h.floor) {
-        /* the deepest branch takes fewer than greedy elements */
+        /* one array per level; no node at level greedy - 1 branches */
         uint64_t *work = PyMem_Malloc((size_t)k * greedy * sizeof *work);
         if (work == NULL)
             return PyErr_NoMemory();

@@ -434,6 +434,71 @@ class TestHittingSetOracle:
         search reads; offset 55 moves them to the word's top bits."""
         check(offset + 7, _masks(*[tuple(v + offset for v in s) for s in sets]))
 
+    @pytest.mark.parametrize("offset", [0, 55], ids=["low", "top-of-word"])
+    @pytest.mark.parametrize(
+        ("sets", "lower_bound", "case"),
+        [
+            # the path 0-3-1-4-2: greedy takes {0, 1, 2}; below the root's
+            # sibling 3, {1, 4} and {2, 4} share only 4, not rem[0]'s 1
+            (((0, 3), (1, 3), (1, 4), (2, 4)), 0, "not-lowest"),
+            # the Fano plane: below the root's first sibling, 0, the four
+            # lines that miss 0 meet pairwise but share no point
+            (
+                ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)),
+                0,
+                "no-common",
+            ),
+            # packing bound 1 and value 2: the floor 2 comes from
+            # lower_bound, and the exit below the root's sibling 2 meets it
+            (((0, 1, 2), (2, 3, 5), (0, 4, 6), (1, 4, 6)), 2, "at-floor"),
+        ],
+        ids=["not-lowest", "no-common", "at-floor"],
+    )
+    def test_one_and_exit_systems(
+        self, check, compiled, monkeypatch, sets, lower_bound, case, offset
+    ):
+        """Systems whose search takes the exit at chosen + 2 == best, which
+        ANDs the remaining constraints instead of branching; offset 55 moves
+        them to the word's top bits. The pure search is watched node by node
+        to show the exit runs in the named case, and both backends return
+        the same mask at every floor."""
+        universe = offset + 7
+        masks = _masks(*[tuple(v + offset for v in s) for s in sets])
+        exits = []
+        original = _pure._least
+
+        def watched(rem, allowed, chosen, picked, best, found, floor):
+            result = original(rem, allowed, chosen, picked, best, found, floor)
+            if rem and floor < best == chosen + 2:
+                common = allowed
+                for c in rem:
+                    common &= c
+                exits.append((rem, floor, common, result[1]))
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_pure, "_least", watched)
+            _pure.min_hitting_set(universe, masks, lower_bound)
+        if case == "not-lowest":
+            assert any(
+                common and common & -common != rem[0] & -rem[0] for rem, _, common, _ in exits
+            ), exits
+        elif case == "no-common":
+            assert any(
+                not common and all(c & d for c in rem for d in rem) for rem, _, common, _ in exits
+            ), exits
+        else:
+            assert any(
+                common and floor == lower_bound == found.bit_count()
+                for _, floor, common, found in exits
+            ), exits
+        check(universe, masks)
+        size = naive_hitting_set(universe, masks)[0]
+        for lb in sorted({0, 1, lower_bound, size}):
+            assert _pure.min_hitting_set(universe, masks, lb) == compiled.min_hitting_set(
+                universe, masks, lb
+            ), lb
+
 
 def test_value_ignores_order_duplicates_and_supersets(impl):
     """Permuting the constraints, repeating some or adding supersets of
@@ -499,13 +564,14 @@ class TestPureSearch:
 
     @pytest.mark.parametrize(
         ("n", "p", "value", "ceiling"),
-        [(24, 0.9, 9, 1362), (28, 0.6, 5, 1494)],
+        [(24, 0.9, 9, 1160), (28, 0.6, 5, 498)],
     )
     def test_node_count_ceiling(self, monkeypatch, n, p, value, ceiling):
         """The value search on two fixed dense local systems, with no
-        floor as the solver runs it, visits at most the nodes it did when
-        the search was written (the same count as from the paper's floors). A weaker bound or a lost unit propagation shows here
-        as more nodes before it shows as more time."""
+        floor as the solver runs it, visits at most the nodes it does with
+        the one-AND exit at chosen + 2 == best. A weaker bound, a lost unit
+        propagation or a lost exit shows here as more nodes before it shows
+        as more time."""
         nodes = 0
         original = _pure._least
 
