@@ -562,16 +562,10 @@ class TestPureSearch:
         _pure.min_hitting_set(g.n, _distinguisher_masks(g, "local"), lower_bounds(g).best)
         assert nodes > 500
 
-    @pytest.mark.parametrize(
-        ("n", "p", "value", "ceiling"),
-        [(24, 0.9, 9, 1160), (28, 0.6, 5, 498)],
-    )
-    def test_node_count_ceiling(self, monkeypatch, n, p, value, ceiling):
-        """The value search on two fixed dense local systems, with no
-        floor as the solver runs it, visits at most the nodes it does with
-        the one-AND exit at chosen + 2 == best. A weaker bound, a lost unit
-        propagation or a lost exit shows here as more nodes before it shows
-        as more time."""
+    @staticmethod
+    def _count_nodes(monkeypatch, n, p, floor):
+        """The hitting set the value search returns on the local system of
+        a fixed random graph, and the number of nodes it visits."""
         nodes = 0
         original = _pure._least
 
@@ -583,7 +577,33 @@ class TestPureSearch:
         monkeypatch.setattr(_pure, "_least", counted)
         g = random_connected(random.Random(0), n, p)
         masks = _distinguisher_masks(g, "local")
-        assert _pure.min_hitting_set(g.n, masks).bit_count() == value
+        found = _pure.min_hitting_set(g.n, masks, floor(g))
+        return found, nodes
+
+    @pytest.mark.parametrize(
+        ("n", "p", "value", "ceiling"),
+        [(24, 0.9, 9, 1362), (28, 0.6, 5, 1494)],
+    )
+    def test_node_count_ceiling(self, monkeypatch, n, p, value, ceiling):
+        """The value search on two fixed dense local systems, from the
+        checked floors, visits at most the nodes it did when the search
+        was written. A weaker bound or a lost unit propagation shows here
+        as more nodes before it shows as more time."""
+        found, nodes = self._count_nodes(monkeypatch, n, p, lambda g: lower_bounds(g).best)
+        assert found.bit_count() == value
+        assert nodes <= ceiling
+
+    @pytest.mark.parametrize(
+        ("n", "p", "value", "ceiling"),
+        [(24, 0.9, 9, 1160), (28, 0.6, 5, 498)],
+    )
+    def test_node_count_ceiling_without_floor(self, monkeypatch, n, p, value, ceiling):
+        """The same two systems with no floor, as the solver runs them,
+        visit at most the nodes they do with the one-AND exit at
+        chosen + 2 == best. A lost exit shows here as more nodes before it
+        shows as more time."""
+        found, nodes = self._count_nodes(monkeypatch, n, p, lambda g: 0)
+        assert found.bit_count() == value
         assert nodes <= ceiling
 
 
