@@ -17,7 +17,7 @@ import random
 import time
 
 from locdim import _pure, enumeration, kernels
-from locdim.dimension import distinguisher_sets, lower_bounds
+from locdim.dimension import distinguisher_sets
 from locdim.enumeration import connected_graphs
 from locdim.families import (
     apex_triangles,
@@ -27,7 +27,7 @@ from locdim.families import (
     gamma2,
     upsilon,
 )
-from locdim.graphs import Graph, bfs_distances, is_connected
+from locdim.graphs import Graph, is_connected
 
 try:
     from locdim import _speedups
@@ -75,22 +75,19 @@ def build_workloads():
         upsilon(7),
         apex_triangles(4),
     ):
-        dm = bfs_distances(g)
-        systems.append((g.n, distinguisher_sets(g, dm).masks()))
-        systems.append((g.n, distinguisher_sets(g, dm, "full").masks()))
+        systems.append((g.n, distinguisher_sets(g).masks()))
+        systems.append((g.n, distinguisher_sets(g, "full").masks()))
 
-    # dense systems with the solver's real floors, deep enough to exercise
-    # the tree search (the family systems above are small and floorless)
+    # dense systems, deep enough to exercise the tree search; solved with
+    # no floor, as the value search runs them
     dense_systems = []
     for p in (0.6, 0.9):
         for _ in range(2):
             g = Graph(28, tuple(_random_adj(rng, 28, p)))
             while not is_connected(g):
                 g = Graph(28, tuple(_random_adj(rng, 28, p)))
-            dm = bfs_distances(g)
-            best = lower_bounds(g).best
             for mode in ("local", "full"):
-                dense_systems.append((g.n, distinguisher_sets(g, dm, mode).masks(), best))
+                dense_systems.append((g.n, distinguisher_sets(g, mode).masks()))
 
     order7 = [g.adj for g in connected_graphs(7)]
     patterns = [gamma1().adj, gamma2().adj]
@@ -124,8 +121,8 @@ def build_workloads():
             impl.min_hitting_set(n, masks, 0)
 
     def hitting_dense(impl):
-        for n, masks, best in dense_systems:
-            impl.min_hitting_set(n, masks, best)
+        for n, masks in dense_systems:
+            impl.min_hitting_set(n, masks, 0)
 
     def embedding(impl):
         for host in order7:

@@ -78,42 +78,44 @@ def _pack_bound(cons: list[int]) -> int:
     return lb
 
 
-def _least(
-    rem: list[int], allowed: int, chosen: int, picked: int, best: int, found: int, floor: int
-) -> tuple[int, int]:
+def _least(rem: list[int], allowed: int, picked: int, found: int, floor: int) -> int:
     """The branch-and-bound below one node, whose chosen elements are the
-    mask picked: (best, found), the size and mask of the smaller of found
-    and picked plus a smallest hitting set of rem, except that the search
-    stops as soon as best falls to floor or below. rem
-    holds no empty constraint, lies within allowed (the elements not
-    excluded above this node) and is in size order; the first hitting set
-    found of size at most floor ends the search. A node with
+    mask picked: the smaller of found and picked plus a smallest hitting set
+    of rem, except that the search stops as soon as found's size falls to
+    floor or below. rem holds no empty constraint, lies within allowed (the
+    elements not excluded above this node) and is in size order; the first
+    hitting set found of size at most floor ends the search. A node with
+    nothing left to hit returns picked, which is always the smaller: a
+    child is built only while chosen + 1 < best. A node with
     chosen + 2 == best answers with one AND of rem instead of branching,
     taking the AND's lowest element (see min_hitting_set)."""
     if not rem:
-        return (chosen, picked) if chosen < best else (best, found)
+        return picked
+    chosen = picked.bit_count()
+    best = found.bit_count()
     # rem needs one more element at least, so chosen + 1 >= best prunes
     # before the packing bound is counted
     if best <= floor or chosen + 1 >= best:
-        return best, found
+        return found
     if chosen + 2 == best:
         common = allowed
         for c in rem:
             common &= c
             if not common:
-                return best, found
-        return chosen + 1, picked | (common & -common)
+                return found
+        return picked | (common & -common)
     if chosen + _pack_bound(rem) >= best:
-        return best, found
+        return found
     # every hitting set hits rem[0]; branch on its elements, lowest first
     branch = rem[0]
     while True:
         bit = branch & -branch
         child = sorted([c & allowed for c in rem if not c & bit], key=int.bit_count)
-        best, found = _least(child, allowed, chosen + 1, picked | bit, best, found, floor)
+        found = _least(child, allowed, picked | bit, found, floor)
+        best = found.bit_count()
         branch ^= bit
         if best <= floor or not branch:
-            return best, found
+            return found
         # the later siblings exclude this element; re-count the packing
         # bound on what rem keeps of allowed
         allowed ^= bit
@@ -125,7 +127,7 @@ def _least(
                 used |= c
                 lb += 1
         if lb >= best:
-            return best, found
+            return found
 
 
 def min_hitting_set(
@@ -153,7 +155,7 @@ def min_hitting_set(
     and the OR stops once it covers everything.
 
     One branch-and-bound, _least, finds the value, carrying the chosen
-    elements as a mask beside their count. It branches on the
+    elements and the best set found as masks. It branches on the
     elements of the smallest remaining constraint, rem[0], in ascending
     order, with exclusion: once the subtree that takes v has been searched,
     every hitting set that contains v has been seen, so the later siblings
@@ -180,9 +182,9 @@ def min_hitting_set(
     elements outside the AND, so the packing bound stays 1 up to it.
 
     The search starts from the greedy cover (most hits first, ties to the
-    smaller element) and stops at the floor: the largest of lower_bound, 1
-    and the packing bound. It returns the greedy cover itself when no
-    smaller hitting set is found.
+    smaller element) and stops at the floor: the larger of lower_bound and
+    the packing bound, which is at least 1 on a non-empty system. It
+    returns the greedy cover itself when no smaller hitting set is found.
     """
     if not 0 <= universe <= 62:
         raise ValueError(f"universe size must be in 0..62, got {universe}")
@@ -217,7 +219,7 @@ def min_hitting_set(
                 contain[low.bit_length() - 1] |= bit
                 rest ^= low
             cons.append(c)
-    floor = max(lower_bound, 1, _pack_bound(cons))
+    floor = max(lower_bound, _pack_bound(cons))
 
     # greedy cover (most hits first, ties to the smaller element) for the
     # initial upper bound
@@ -228,7 +230,7 @@ def min_hitting_set(
         pick = hits.index(max(hits))
         alive &= ~contain[pick]
         picks |= 1 << pick
-    return _least(cons, support, 0, 0, picks.bit_count(), picks, floor)[1]
+    return _least(cons, support, 0, picks, floor)
 
 
 def _least_string(n: int, adj: Sequence[int], own: int) -> int:

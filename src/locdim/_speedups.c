@@ -190,8 +190,9 @@ struct hitting {
 };
 
 /* _pure._least, with best, its set and floor in h; picked holds the chosen
-   elements. Each level reads its constraint array rem[0..k), in size order
-   and within allowed, and builds its children's arrays right after it, at
+   elements, and a node with nothing left to hit always improves on best.
+   Each level reads its constraint array rem[0..k), in size order and
+   within allowed, and builds its children's arrays right after it, at
    rem + k. A node with chosen + 2 == best builds none: it ANDs rem into
    allowed and takes the lowest common element, if any, which is the
    sibling the loop would stop at. So only nodes with chosen <= best - 3
@@ -202,10 +203,8 @@ hs_search(struct hitting *h, int chosen, uint64_t picked, uint64_t *rem,
           int k, uint64_t allowed)
 {
     if (k == 0) {
-        if (chosen < h->best) {
-            h->best = chosen;
-            h->best_set = picked;
-        }
+        h->best = chosen;
+        h->best_set = picked;
         return;
     }
     if (h->best <= h->floor || chosen + 1 >= h->best)
@@ -276,8 +275,6 @@ hs_solve(const uint64_t *cons, int k, int lower_bound, uint64_t *scratch)
     struct hitting h = {.floor = lower_bound, .best = greedy,
                         .best_set = picks, .scratch = scratch};
     int pack = pack_bound(cons, k, ~(uint64_t)0);
-    if (h.floor < 1)
-        h.floor = 1;
     if (h.floor < pack)
         h.floor = pack;
     if (h.best > h.floor) {

@@ -90,29 +90,13 @@ def lower_bounds(g: Graph) -> LowerBounds:
     )
 
 
-def distinguisher_sets(
-    g: Graph, dm: DistanceMatrix | None = None, mode: str = "local"
-) -> ConstraintSystem:
+def distinguisher_sets(g: Graph, mode: str = "local") -> ConstraintSystem:
     """One constraint per edge (local) or per vertex pair (full): the set of
     vertices seeing the two endpoints at different distances. Endpoints
     always belong to their own set, so no constraint is empty."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if dm is None:
-        dm = bfs_distances(g)
-    cons = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if mode == "local" and not g.has_edge(u, v):
-                continue
-            mask = 0
-            du = dm.d[u]
-            dv = dm.d[v]
-            for w in range(g.n):
-                if du[w] != dv[w]:
-                    mask |= 1 << w
-            cons.append(Constraint((u, v), mask))
-    return ConstraintSystem(g.n, mode, tuple(cons))
+    masks = _distinguisher_masks(g, mode)
+    pairs = g.edges() if mode == "local" else itertools.combinations(range(g.n), 2)
+    return ConstraintSystem(g.n, mode, tuple(map(Constraint, pairs, masks)))
 
 
 def _check_vertex_set(g: Graph, vertices: Iterable[int]) -> int:
@@ -158,16 +142,18 @@ def is_resolving(
 
 
 def _distinguisher_masks(g: Graph, mode: str) -> list[int]:
-    """distinguisher_sets(g, mode=mode).masks() of a connected graph, from
-    distance layers instead of a distance matrix.
+    """The masks of distinguisher_sets(g, mode), from distance layers; a
+    disconnected graph raises DisconnectedError.
 
     Frontier expansion over adj gives, for every vertex u, the masks L_u[d]
     of the vertices at distance d from u. A vertex w sees u and v at equal
     distance iff it lies in L_u[d] & L_v[d] for some d, so the
     distinguisher mask of (u, v) is the complement of the OR of those
-    intersections. Pairs come in distinguisher_sets' order: u ascending,
-    then v > u ascending, edges only in local mode.
+    intersections. Pairs come u ascending, then v > u ascending, edges only
+    in local mode.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     n = g.n
     adj = g.adj
     full = (1 << n) - 1
@@ -186,6 +172,8 @@ def _distinguisher_masks(g: Graph, mode: str) -> list[int]:
                 break
             seen |= frontier
             by_distance.append(frontier)
+        if seen != full:
+            raise DisconnectedError("distances undefined: graph is disconnected")
         layers.append(by_distance)
     masks = []
     for u in range(n - 1):
@@ -208,17 +196,18 @@ def _lex_witness(universe: int, masks: Sequence[int], found: int) -> int:
     """The lexicographically smallest minimum hitting set of masks, as a
     mask, given `found`, some minimum hitting set of them.
 
-    It is built one element at a time, ascending. It keeps H, an optimum
+    One ascending scan over the elements builds it. It keeps H, an optimum
     that contains the elements taken so far and has all its other elements
-    at or after the next candidate; `found` is the first H. Candidate v is
-    taken when the constraints it leaves unhit, restricted to the elements
-    after v, have a hitting set within the budget B = size - taken - 1:
+    after the candidate; `found` is the first H. Candidate v is taken when
+    the constraints it leaves unhit, restricted to the elements after v,
+    have a hitting set within the budget B, which starts at size - 1 and
+    falls by one on each take:
 
-    - When v is the lowest element of H outside the taken ones, H proves
-      this without a kernel call. Every u between the last taken element
-      and v was rejected, and H has none of them. So H minus the taken
-      elements and v lies after v, has exactly B elements and hits every
-      constraint v misses: the probe below would accept v too.
+    - When v is in H, H proves this without a kernel call. H holds no
+      untaken element below v, since the scan would have taken it. So H
+      minus the taken elements and v lies after v, has exactly B elements
+      and hits every constraint v misses: the probe below would accept v
+      too.
     - Otherwise v is probed, by one kernel call with lower_bound B. B is a
       valid floor there: the elements already taken, v and any hitting set
       of the restricted system together hit every mask, so they number at
@@ -231,31 +220,27 @@ def _lex_witness(universe: int, masks: Sequence[int], found: int) -> int:
     is probed, H extends the taken elements with elements from v on, so
     each constraint v leaves unhit keeps an element after v.
     """
-    size = found.bit_count()
+    budget = found.bit_count() - 1
     witness = 0
     rem = masks
-    start = 0
-    while rem:
-        budget = size - witness.bit_count() - 1
-        free = found & ~witness
-        lowest = (free & -free).bit_length() - 1
-        for v in range(start, universe):
-            above = -2 << v  # the elements after v
-            # restricting makes duplicates; the kernel would drop them too
-            restricted = list({c & above for c in rem if not c >> v & 1})
-            if v != lowest and restricted:
-                if budget <= 0:
-                    continue
-                rest = kernels.min_hitting_set(universe, restricted, budget)
-                if rest.bit_count() > budget:
-                    continue
-                found = witness | 1 << v | rest
-            witness |= 1 << v
-            rem = restricted
-            start = v + 1
+    for v in range(universe):
+        if not rem:
             break
-        else:
-            raise AssertionError("hitting-set witness reconstruction failed")
+        above = -2 << v  # the elements after v
+        # restricting makes duplicates; the kernel would drop them too
+        restricted = list({c & above for c in rem if not c >> v & 1})
+        if not found >> v & 1 and restricted:
+            if budget <= 0:
+                continue
+            rest = kernels.min_hitting_set(universe, restricted, budget)
+            if rest.bit_count() > budget:
+                continue
+            found = witness | 1 << v | rest
+        witness |= 1 << v
+        budget -= 1
+        rem = restricted
+    if rem:
+        raise AssertionError("hitting-set witness reconstruction failed")
     return witness
 
 

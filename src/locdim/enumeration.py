@@ -58,8 +58,8 @@ from .graphs import (
 
 CANONICAL_MAX_VERTICES = 8
 
-# classes of connected graphs per order (OEIS A001349), used as generator
-# self-checks
+# classes of connected graphs per order (OEIS A001349); the `--gen` usage
+# message reads them, and the tests check the generator against them
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 # (order, connected only) -> canonical triangle bits of the classes the

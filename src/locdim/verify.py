@@ -367,7 +367,9 @@ def run_suite(
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, len(graphs) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork-started pool forks every worker at its first submit, so it
+        # gets no more workers than there are graphs
+        with ProcessPoolExecutor(max_workers=min(jobs, len(graphs))) as pool:
             reports = tuple(pool.map(fn, graphs, chunksize=chunk))
     else:
         reports = tuple(map(fn, graphs))

@@ -25,7 +25,7 @@ from locdim.dimension import (
 )
 from locdim.enumeration import connected_graphs
 from locdim.families import apex_triangles, upsilon
-from locdim.graphs import bfs_distances, is_bipartite, is_triangle_free, to_graph6
+from locdim.graphs import is_bipartite, is_triangle_free, to_graph6
 from locdim.invariants import clique_number, twin_partition
 from locdim.verify import (
     dimension_class_audit,
@@ -148,8 +148,7 @@ def test_criterion_6_property_suite():
         # the triangle-free ceiling starts at n = 3: K_2 has dimension 1
         if g.n >= 3 and is_triangle_free(g):
             assert 5 * value <= 2 * g.n
-        dm = bfs_distances(g)
-        masks = {c.pair: c.mask for c in distinguisher_sets(g, dm).constraints}
+        masks = {c.pair: c.mask for c in distinguisher_sets(g).constraints}
         for cls in twin_partition(g).classes:
             for u, v in itertools.combinations(cls, 2):
                 assert masks[(u, v)] == (1 << u) | (1 << v)

@@ -100,9 +100,10 @@ def test_max_clique_agreement(compiled):
 
 
 def _dense_systems() -> list[tuple[int, list[int], int]]:
-    """Local and full systems of G(28, p) draws with the solver's real
-    floors: deep enough to reach the tree search, in the value search and
-    in the witness rebuild's probes."""
+    """Local and full systems of G(28, p) draws, each with the graph's
+    checked floors, which stand in for the witness rebuild's probe budgets:
+    deep enough to reach the tree search, in the value search and in the
+    rebuild's probes."""
     rng = random.Random(SEED + 5)
     systems = []
     for p in (0.6, 0.9):

@@ -3,6 +3,7 @@ values, and agreement with the all-subsets definition."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from locdim.dimension import (
     LowerBounds,
     _distinguisher_masks,
     _lex_witness,
+    _value,
     distinguisher_sets,
     is_local_resolving,
     is_resolving,
@@ -104,27 +106,53 @@ class TestConstraints:
         with pytest.raises(DisconnectedError):
             distinguisher_sets(build(4, [(0, 1), (2, 3)]))
 
+    @pytest.mark.parametrize("mode", ["local", "full"])
+    def test_value_and_sets_reject_disconnected(self, mode):
+        # two components: the distances between them are undefined
+        g = build(4, [(0, 1), (2, 3)])
+        with pytest.raises(DisconnectedError):
+            distinguisher_sets(g, mode=mode)
+        with pytest.raises(DisconnectedError):
+            _value(g, mode)
+
+    def test_value_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            _value(cycle(5), "global")
+
+
+def _oracle_constraints(g: Graph, mode: str) -> list[tuple[tuple[int, int], int]]:
+    """(pair, distinguisher mask) from the test's own queue BFS, pairs u
+    ascending then v > u ascending, edges only in local mode."""
+    dist = _oracle_distances(g.n, g.edges())
+    pairs = g.edges() if mode == "local" else itertools.combinations(range(g.n), 2)
+    return [
+        ((u, v), sum(1 << w for w in range(g.n) if dist[w][u] != dist[w][v]))
+        for u, v in pairs
+    ]
+
 
 class TestDistanceLayerMasks:
-    """The solve's masks from distance layers against the public
-    distance-matrix path."""
+    """The solve's masks from distance layers, and the public constraint
+    system built on them, against masks from a plain queue BFS."""
+
+    @staticmethod
+    def _assert_matches_oracle(g: Graph, mode: str) -> None:
+        expected = _oracle_constraints(g, mode)
+        assert _distinguisher_masks(g, mode) == [mask for _, mask in expected]
+        constraints = distinguisher_sets(g, mode=mode).constraints
+        assert [(c.pair, c.mask) for c in constraints] == expected
 
     @pytest.mark.parametrize("mode", ["local", "full"])
     def test_every_class_up_to_order_seven(self, mode):
         for g in stream_upto(7):
-            assert _distinguisher_masks(g, mode) == list(
-                distinguisher_sets(g, mode=mode).masks()
-            )
+            self._assert_matches_oracle(g, mode)
 
     @pytest.mark.parametrize("mode", ["local", "full"])
     def test_random_graphs_up_to_order_forty(self, mode):
         rng = random.Random(40)
         for n in (2, 3, 9, 16, 25, 33, 40):
             for p in (0.08, 0.2, 0.5, 0.9):
-                g = random_connected(rng, n, p)
-                assert _distinguisher_masks(g, mode) == list(
-                    distinguisher_sets(g, mode=mode).masks()
-                )
+                self._assert_matches_oracle(random_connected(rng, n, p), mode)
 
 
 class TestBounds:
@@ -180,8 +208,8 @@ class TestResolvingPredicates:
         for _ in range(250):
             g = random_connected(rng, rng.randint(2, 8))
             dm = bfs_distances(g)
-            local = distinguisher_sets(g, dm, "local").masks()
-            full = distinguisher_sets(g, dm, "full").masks()
+            local = distinguisher_sets(g, "local").masks()
+            full = distinguisher_sets(g, "full").masks()
             for _ in range(4):
                 mask = rng.getrandbits(g.n)
                 vertices = [v for v in range(g.n) if (mask >> v) & 1]
@@ -410,7 +438,7 @@ class TestHittingSetOracle:
         ids=["K12-K5,4", "upsilon0", "upsilon7", "apex4"],
     )
     def test_family_systems(self, check, g, mode):
-        check(g.n, list(distinguisher_sets(g, bfs_distances(g), mode).masks()))
+        check(g.n, list(distinguisher_sets(g, mode=mode).masks()))
 
     @pytest.mark.parametrize("offset", [0, 55], ids=["low", "top-of-word"])
     @pytest.mark.parametrize(
@@ -467,13 +495,13 @@ class TestHittingSetOracle:
         exits = []
         original = _pure._least
 
-        def watched(rem, allowed, chosen, picked, best, found, floor):
-            result = original(rem, allowed, chosen, picked, best, found, floor)
-            if rem and floor < best == chosen + 2:
+        def watched(rem, allowed, picked, found, floor):
+            result = original(rem, allowed, picked, found, floor)
+            if rem and floor < found.bit_count() == picked.bit_count() + 2:
                 common = allowed
                 for c in rem:
                     common &= c
-                exits.append((rem, floor, common, result[1]))
+                exits.append((rem, floor, common, result))
             return result
 
         with monkeypatch.context() as patch:
@@ -541,17 +569,19 @@ class TestPureSearch:
         nodes = 0
         original = _pure._least
 
-        def checked(rem, allowed, chosen, picked, best, found, floor):
+        def checked(rem, allowed, picked, found, floor):
             nonlocal nodes
             nodes += 1
             assert all(c and not c & ~allowed for c in rem), (rem, allowed)
             sizes = [c.bit_count() for c in rem]
             assert sizes == sorted(sizes), rem
-            # picked holds the chosen elements, and no constraint left to
-            # hit holds one of them
-            assert picked.bit_count() == chosen and found.bit_count() == best
+            # no constraint left to hit holds a chosen element, and a node
+            # with nothing left to hit improves on the best set, so it may
+            # return picked without comparing
             assert not any(c & picked for c in rem), (rem, picked)
-            return original(rem, allowed, chosen, picked, best, found, floor)
+            if not rem:
+                assert picked.bit_count() < found.bit_count(), (picked, found)
+            return original(rem, allowed, picked, found, floor)
 
         monkeypatch.setattr(_pure, "_least", checked)
         rng = random.Random(0xA110)

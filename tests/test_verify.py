@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import pickle
 
 import pytest
@@ -279,6 +280,30 @@ class TestSuite:
         monkeypatch.setattr(verify_mod, "_check_normalized", check_as_drawn)
         assert run_suite(stream(), jobs=1).graph_count == len(drawn) == 6
         assert checked == drawn
+
+    def test_pool_gets_no_more_workers_than_graphs(self, monkeypatch):
+        """A pool asked for 1000 workers over the 2 order-3 classes is sized
+        to 2. The pool is a recording stand-in that maps in this process, so
+        no worker process is started."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        fanned = run_suite(connected_graphs(3), jobs=1000, source="x")
+        assert sizes == [2]
+        assert fanned.to_records() == run_suite(connected_graphs(3), source="x").to_records()
 
 
 class TestReportData:
