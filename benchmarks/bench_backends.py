@@ -89,6 +89,37 @@ def build_workloads():
             for mode in ("local", "full"):
                 dense_systems.append((g.n, distinguisher_sets(g, mode).masks()))
 
+    # the is_canonical calls of orderly generation up to order 8, recorded
+    # from a cold memo with the active backend; the same run gives the
+    # order-8 classes
+    enumeration._CLASS_BITS.clear()
+    canonicity_calls = []
+    active = kernels.is_canonical
+
+    def record(n, adj, own):
+        canonicity_calls.append((n, adj, own))
+        return active(n, adj, own)
+
+    kernels.is_canonical = record
+    try:
+        order8 = list(connected_graphs(8))
+    finally:
+        kernels.is_canonical = active
+    order8_relabelings = []
+    for g in order8:
+        for _ in range(3):
+            perm = list(range(8))
+            rng.shuffle(perm)
+            order8_relabelings.append(g.relabel(perm).adj)
+
+    # G(n, p) graphs above the orders the exhaustive streams label, where
+    # sparse graphs tie the most columns; disconnected draws are kept
+    density_sets = [
+        (n, p, [_random_adj(rng, n, p) for _ in range(60)])
+        for n in (9, 10, 11)
+        for p in (0.2, 0.5, 0.8)
+    ]
+
     order7 = [g.adj for g in connected_graphs(7)]
     patterns = [gamma1().adj, gamma2().adj]
 
@@ -99,6 +130,21 @@ def build_workloads():
     def canonical7(impl):
         for adj in order7_relabelings:
             impl.canonical_bits(7, adj)
+
+    def canonical8(impl):
+        for adj in order8_relabelings:
+            impl.canonical_bits(8, adj)
+
+    def canonical_density(n, graphs):
+        def run(impl):
+            for adj in graphs:
+                impl.canonical_bits(n, adj)
+
+        return run
+
+    def canonicity(impl):
+        for n, adj, own in canonicity_calls:
+            impl.is_canonical(n, adj, own)
 
     def generation(impl):
         # orderly generation from a cold memo: every class of orders 1-6 as
@@ -134,6 +180,18 @@ def build_workloads():
         (
             f"canonical labeling, {len(order7_relabelings)} relabeled order-7 classes",
             canonical7,
+        ),
+        (
+            f"canonical labeling, {len(order8_relabelings)} relabeled order-8 classes",
+            canonical8,
+        ),
+        *(
+            (f"canonical labeling, 60 G({n}, {p}) graphs", canonical_density(n, graphs))
+            for n, p, graphs in density_sets
+        ),
+        (
+            f"canonicity test, the {len(canonicity_calls)} calls of generation to order 8",
+            canonicity,
         ),
         ("class generation, orders 1-7 from a cold cache", generation),
         ("maximum clique, 6 dense 55-vertex graphs", clique),

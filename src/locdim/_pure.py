@@ -5,10 +5,14 @@ max_clique returns the clique number; min_hitting_set a minimum hitting
 set, as a mask; canonical_bits the least upper-triangle bit string over all
 relabelings; is_canonical whether given bits are that string, with an
 early exit for orderly generation; induced_embedding the first induced
-copy of a pattern, or None. The compiled twin (locdim._speedups) ports
-each of them to C with identical outputs; locdim.kernels picks a backend
-at import time. Graphs arrive as adjacency rows packed into ints, bit v of
-adj[u] set iff uv is an edge.
+copy of a pattern, or None. The two labeling kernels share one search.
+The least string opens with alpha zero columns (alpha the independence
+number), so the search branches on which maximum independent set fills
+those positions, one set per true-twin swap, and leaves the set's inner
+order open until later vertices fix it. The compiled twin
+(locdim._speedups) ports each of them to C with identical outputs;
+locdim.kernels picks a backend at import time. Graphs arrive as adjacency
+rows packed into ints, bit v of adj[u] set iff uv is an edge.
 """
 
 from __future__ import annotations
@@ -233,8 +237,59 @@ def min_hitting_set(
     return _least(cons, support, 0, picks, floor)
 
 
+def _blocks(n: int, adj: Sequence[int], twins: Sequence[int]) -> list[int]:
+    """The maximum independent sets of the graph, one per true-twin swap:
+    those whose every member is the lowest vertex of its true-twin class.
+
+    True twins (adjacent, with equal closed neighborhoods) are never both
+    in an independent set, and swapping a member for its true twin is an
+    automorphism that keeps the set independent, so each maximum
+    independent set has exactly one such image. A false-twin class
+    (non-adjacent, equal open neighborhoods) lies wholly inside or wholly
+    outside a maximal independent set, since a member's false twin has no
+    neighbor in it, so no choice is left to cut there. The sets are the
+    maximal cliques of the complement on the lowest vertices of the classes,
+    by Bron-Kerbosch with pivoting on bitmasks, keeping only the largest; a
+    branch that cannot reach the largest size so far is cut. Since every
+    maximum independent set has its image among those vertices, the
+    largest found there are maximum in the whole graph.
+    """
+    lowest = 0
+    for v in range(n):
+        if not adj[v] & twins[v] & ((1 << v) - 1):
+            lowest |= 1 << v
+    # non[v]: v's non-neighbors among the lowest vertices, v excluded
+    non = [lowest & ~adj[v] & ~(1 << v) for v in range(n)]
+    found: list[int] = []
+    largest = 0
+
+    def expand(chosen: int, size: int, cand: int, done: int) -> None:
+        nonlocal largest
+        if not cand:
+            if not done and size >= largest:
+                if size > largest:
+                    largest = size
+                    found.clear()
+                found.append(chosen)
+            return
+        # a maximal set holds the pivot, the lowest vertex of cand | done,
+        # or one of its neighbors, so only those are branched on
+        pivot = cand | done
+        branch = cand & ~non[(pivot & -pivot).bit_length() - 1]
+        while branch and size + cand.bit_count() >= largest:
+            bit = branch & -branch
+            v = bit.bit_length() - 1
+            expand(chosen | bit, size + 1, cand & non[v], done & non[v])
+            branch ^= bit
+            cand ^= bit
+            done |= bit
+
+    expand(0, 0, lowest, 0)
+    return found
+
+
 def _least_string(n: int, adj: Sequence[int], own: int) -> int:
-    """The cell-partition DFS behind canonical_bits and is_canonical.
+    """The search behind canonical_bits and is_canonical.
 
     With own < 0 it returns the least string. With a target own >= 0 (a
     string of some labeling of the graph) the prefix cut starts at own, so
@@ -242,7 +297,9 @@ def _least_string(n: int, adj: Sequence[int], own: int) -> int:
     as soon as a prefix falls below own's prefix of the same length: every
     completion of that partial labeling is smaller than own. It then
     returns that prefix padded with zeros, a value below own; when no
-    prefix falls below, it returns own.
+    prefix falls below, it returns own. An own with a 1 in columns
+    0..alpha-1 gets 0 at once, a value below it. See canonical_bits for the
+    search.
     """
     if n <= 1:
         return 0
@@ -250,18 +307,22 @@ def _least_string(n: int, adj: Sequence[int], own: int) -> int:
     # shifts[t]: the bits after the prefix of columns 0..t
     shifts = [m - t * (t + 1) // 2 for t in range(n)]
     twins = twin_masks(adj)
-    order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
+    blocks = _blocks(n, adj, twins)
+    alpha = blocks[0].bit_count()
+    if alpha == n:
+        # no edges: every labeling gives 0
+        return 0
     target = own >= 0
+    if target and own >> shifts[alpha - 1]:
+        # own has a 1 in columns 0..alpha-1, where the least string has none
+        return 0
+    order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
     best = own
 
-    # cells: the unplaced vertices grouped by adjacency column against the
-    # placed ones (first placed vertex most significant), as (column, mask)
-    # pairs in ascending column order; the first cell holds the tied
-    # minimum. Returns True when a target search has found a smaller string.
-    def rec(t: int, prefix: int, cells: list[tuple[int, int]]) -> bool:
+    # The prefix of columns 0..t is fixed; True ends a target search that
+    # found a smaller string, False cuts the branch, None goes on.
+    def settle(t: int, prefix: int) -> bool | None:
         nonlocal best
-        min_col, tied = cells[0]
-        prefix = (prefix << t) | min_col
         if t == n - 1:
             if best < 0 or prefix < best:
                 best = prefix
@@ -275,6 +336,19 @@ def _least_string(n: int, adj: Sequence[int], own: int) -> int:
             if target and prefix < bound:
                 best = prefix << shift
                 return True
+        return None
+
+    # After the hand-off: the unplaced vertices grouped by adjacency column
+    # against the placed ones (first placed vertex most significant), as
+    # (column, mask) pairs in ascending column order; the first cell holds
+    # the tied minimum. rec and defer return True when a target search has
+    # found a smaller string.
+    def rec(t: int, prefix: int, cells: list[tuple[int, int]]) -> bool:
+        min_col, tied = cells[0]
+        prefix = (prefix << t) | min_col
+        done = settle(t, prefix)
+        if done is not None:
+            return done
         taken = 0
         for v in order:
             if not (tied >> v) & 1 or twins[v] & taken:
@@ -297,7 +371,73 @@ def _least_string(n: int, adj: Sequence[int], own: int) -> int:
                 return True
         return False
 
-    rec(0, 0, [(0, (1 << n) - 1)])
+    # Before the hand-off: positions 0..t-1 as ordered (mask, size) cells,
+    # the block's vertices in cells whose inner order is still open and
+    # each vertex placed after them alone in its own; rest holds the
+    # unplaced vertices. An unplaced vertex's least column reads 0^a 1^b
+    # over a cell, b its neighbors there.
+    def defer(t: int, prefix: int, cells: list[tuple[int, int]], rest: int) -> bool:
+        if len(cells) == t:
+            # every cell is one vertex, so the order is fixed: key the
+            # unplaced vertices by their whole column, one position at a
+            # time, as rec's split does
+            keyed = [(0, rest)]
+            for mask, _ in cells:
+                row = adj[mask.bit_length() - 1]
+                split = []
+                for col, part in keyed:
+                    off = part & ~row
+                    if off:
+                        split.append((col << 1, off))
+                    if off != part:
+                        split.append(((col << 1) | 1, part & row))
+                keyed = split
+            return rec(t, prefix, keyed)
+        min_col = -1
+        tied = 0
+        left = rest
+        while left:
+            bit = left & -left
+            left ^= bit
+            row = adj[bit.bit_length() - 1]
+            col = 0
+            for mask, size in cells:
+                col = (col << size) | ((1 << (row & mask).bit_count()) - 1)
+            if min_col < 0 or col < min_col:
+                min_col = col
+                tied = bit
+            elif col == min_col:
+                tied |= bit
+        prefix = (prefix << t) | min_col
+        done = settle(t, prefix)
+        if done is not None:
+            return done
+        taken = 0
+        for v in order:
+            if not (tied >> v) & 1 or twins[v] & taken:
+                continue
+            taken |= 1 << v
+            row = adj[v]
+            # placing v writes its least column: every cell splits into v's
+            # non-neighbors, then v's neighbors, and v follows alone
+            split = []
+            for mask, size in cells:
+                part = mask & row
+                if part and part != mask:
+                    count = part.bit_count()
+                    split.append((mask ^ part, size - count))
+                    split.append((part, count))
+                else:
+                    split.append((mask, size))
+            split.append((1 << v, 1))
+            if defer(t + 1, prefix, split, rest ^ (1 << v)):
+                return True
+        return False
+
+    everyone = (1 << n) - 1
+    for block in blocks:
+        if defer(alpha, 0, [(block, alpha)], everyone ^ block):
+            break
     return best
 
 
@@ -305,23 +445,40 @@ def canonical_bits(n: int, adj: Sequence[int]) -> int:
     """Minimum upper-triangle bit string over all vertex relabelings.
 
     Bits are column-major (pairs (0,1), (0,2), (1,2), (0,3), ...) with the
-    first pair most significant, matching the graph6 payload layout. The DFS
-    fills positions one vertex at a time and only ever extends with a
-    smallest attainable adjacency column, so ties between columns are the
-    only branching points; prefixes that already exceed the best string are
-    cut. The unplaced vertices are carried down the tree as an ordered
-    partition into cells of equal column, and placing a vertex extends every
-    cell's column by one bit, so no column is ever rebuilt.
+    first pair most significant, matching the graph6 payload layout; column
+    t holds the adjacency of position t to positions 0..t-1.
+
+    Zero prefix: with alpha the independence number, the least string's
+    columns 0..alpha-1 are all zero, whatever the order of the set placed
+    there. A labeling whose first alpha vertices are not independent has a
+    1 in those columns, where the least string has a 0 and every earlier
+    bit equal, so it is larger. So the search branches on which maximum
+    independent set S fills positions 0..alpha-1, not on the order of its
+    vertices. These blocks come one per true-twin swap (see _blocks): a
+    swap of true twins is an automorphism, and a false-twin class lies
+    wholly inside or wholly outside S.
+
+    Deferred order: S's order is kept as ordered cells whose inner order
+    nothing fixes yet. The least column of an unplaced vertex z over a cell
+    C is 0^a 1^b with b = |N(z) & C|, read off a popcount, so each position
+    is filled with a smallest least column. Placing z splits every cell into
+    its non-neighbors, then its neighbors: z's column is then fixed, and the
+    columns already written do not change. Once every cell of S is one
+    vertex, S's order is fixed and the search hands off to a plain DFS: the
+    unplaced vertices are carried down the tree as an ordered partition into
+    cells of equal column, and placing a vertex extends every cell's column
+    by one bit, so no column is ever rebuilt. Ties between least columns are
+    the only branching points, and prefixes that already exceed the best
+    string are cut.
 
     Twin pruning: u and v are twins when adj[u] - {v} == adj[v] - {u} (true
     and false twins alike). Swapping two unplaced twins is an automorphism
-    that fixes every placed vertex, so their subtrees yield the same strings
-    and only one vertex per twin class is branched on at each node. Tied
-    candidates are tried in ascending degree order (ties by index), which
-    tends to reach a small string early and lets the prefix cut fire sooner.
-    Neither change alters the set of strings reachable from the root, and
-    the minimum of that set is unique, so the result is the same as the
-    unpruned search.
+    that fixes S and every placed vertex, so their subtrees yield the same
+    strings and only one vertex per twin class is branched on at each node.
+    Tied candidates are tried in ascending degree order (ties by index),
+    which tends to reach a small string early and lets the prefix cut fire
+    sooner. None of this alters the minimum of the strings reachable from
+    the root, which is unique, so the result is the least string.
     """
     if n > 11:
         raise ValueError(f"canonical_bits supports n <= 11, got {n}")
@@ -330,9 +487,11 @@ def canonical_bits(n: int, adj: Sequence[int]) -> int:
 
 def is_canonical(n: int, adj: Sequence[int], own: int) -> bool:
     """canonical_bits(n, adj) == own, for `own` the string of some labeling
-    of the graph (its own triangle bits, say), by the same DFS with an early
-    exit: the search stops at the first partial labeling whose prefix is
-    below own's and never enters a branch whose prefix is above it."""
+    of the graph (its own triangle bits, say), by the same search with an
+    early exit: the search stops at the first partial labeling whose prefix
+    is below own's and never enters a branch whose prefix is above it. An
+    own with a 1 in columns 0..alpha-1 is above the least string, whose
+    columns there are all zero, and is answered before any search."""
     if n > 11:
         raise ValueError(f"is_canonical supports n <= 11, got {n}")
     return _least_string(n, adj, own) == own

@@ -357,9 +357,18 @@ done:
 
 /* ---------------------------------------------------- canonical labeling */
 
+#define BLOCK_CAP 64  /* maximal independent sets of 11 vertices: at most
+                         2 * 3**3 = 54 (Moon and Moser, 1965) */
+
 struct cell {
     uint64_t col;   /* adjacency column against the placed vertices */
     uint64_t mask;  /* the unplaced vertices with that column */
+};
+
+struct open_cell {
+    uint64_t mask;  /* vertices of consecutive positions, in an order
+                       not fixed yet */
+    int size;
 };
 
 struct labeling {
@@ -373,14 +382,46 @@ struct labeling {
     uint64_t best;
 };
 
-/* rec of _pure._least_string. cells holds ncells cells in ascending column
-   order; at most one per unplaced vertex, so CANON_CAP bounds a split. */
-static int
-least_string_rec(struct labeling *s, int t, uint64_t prefix,
-                 const struct cell *cells, int ncells)
+struct blocks {
+    uint64_t non[CANON_CAP];  /* non-neighbors among the vertices lowest
+                                 in their true-twin class */
+    int largest;
+    int count;
+    uint64_t sets[BLOCK_CAP];
+};
+
+/* expand of _pure._blocks: Bron-Kerbosch on the complement, pivoting on
+   the lowest vertex of cand | done. */
+static void
+blocks_expand(struct blocks *b, uint64_t chosen, int size, uint64_t cand,
+              uint64_t done)
 {
-    uint64_t tied = cells[0].mask;
-    prefix = (prefix << t) | cells[0].col;
+    if (!cand) {
+        if (!done && size >= b->largest) {
+            if (size > b->largest) {
+                b->largest = size;
+                b->count = 0;
+            }
+            b->sets[b->count++] = chosen;
+        }
+        return;
+    }
+    uint64_t branch = cand & ~b->non[lowest(cand | done)];
+    while (branch && size + popcount(cand) >= b->largest) {
+        int v = lowest(branch);
+        blocks_expand(b, chosen | BIT(v), size + 1, cand & b->non[v],
+                      done & b->non[v]);
+        branch &= ~BIT(v);
+        cand &= ~BIT(v);
+        done |= BIT(v);
+    }
+}
+
+/* settle of _pure._least_string: 1 ends a target search that found a
+   smaller string, 0 cuts the branch, -1 goes on. */
+static int
+settle(struct labeling *s, int t, uint64_t prefix)
+{
     if (t == s->n - 1) {
         if (!s->have_best || prefix < s->best) {
             s->best = prefix;
@@ -398,6 +439,20 @@ least_string_rec(struct labeling *s, int t, uint64_t prefix,
             return 1;
         }
     }
+    return -1;
+}
+
+/* rec of _pure._least_string. cells holds ncells cells in ascending column
+   order; at most one per unplaced vertex, so CANON_CAP bounds a split. */
+static int
+least_string_rec(struct labeling *s, int t, uint64_t prefix,
+                 const struct cell *cells, int ncells)
+{
+    uint64_t tied = cells[0].mask;
+    prefix = (prefix << t) | cells[0].col;
+    int done = settle(s, t, prefix);
+    if (done >= 0)
+        return done;
     uint64_t taken = 0;
     struct cell split[CANON_CAP];
     for (int i = 0; i < s->n; i++) {
@@ -421,8 +476,92 @@ least_string_rec(struct labeling *s, int t, uint64_t prefix,
     return 0;
 }
 
+/* defer of _pure._least_string. cells holds the ncells cells of positions
+   0..t-1, so at most t of them; rest holds the unplaced vertices. */
+static int
+defer_rec(struct labeling *s, int t, uint64_t prefix,
+          const struct open_cell *cells, int ncells, uint64_t rest)
+{
+    if (ncells == t) {
+        /* every cell is one vertex: key the unplaced vertices by their
+           whole column, one position at a time */
+        struct cell keyed[CANON_CAP], split[CANON_CAP];
+        int nkeyed = 1;
+        keyed[0] = (struct cell){0, rest};
+        for (int j = 0; j < ncells; j++) {
+            uint64_t row = s->adj[lowest(cells[j].mask)];
+            int nsplit = 0;
+            for (int k = 0; k < nkeyed; k++) {
+                uint64_t off = keyed[k].mask & ~row, on = keyed[k].mask & row;
+                if (off)
+                    split[nsplit++] = (struct cell){keyed[k].col << 1, off};
+                if (on)
+                    split[nsplit++] = (struct cell){(keyed[k].col << 1) | 1,
+                                                    on};
+            }
+            memcpy(keyed, split, nsplit * sizeof *keyed);
+            nkeyed = nsplit;
+        }
+        return least_string_rec(s, t, prefix, keyed, nkeyed);
+    }
+    uint64_t min_col = 0, tied = 0;
+    for (uint64_t left = rest; left; left &= left - 1) {
+        int z = lowest(left);
+        uint64_t row = s->adj[z], col = 0;
+        for (int j = 0; j < ncells; j++)
+            col = (col << cells[j].size)
+                  | (BIT(popcount(row & cells[j].mask)) - 1);
+        if (!tied || col < min_col) {
+            min_col = col;
+            tied = BIT(z);
+        } else if (col == min_col) {
+            tied |= BIT(z);
+        }
+    }
+    prefix = (prefix << t) | min_col;
+    int done = settle(s, t, prefix);
+    if (done >= 0)
+        return done;
+    uint64_t taken = 0;
+    struct open_cell split[CANON_CAP];
+    for (int i = 0; i < s->n; i++) {
+        int v = s->order[i];
+        if (!((tied >> v) & 1) || (s->twins[v] & taken))
+            continue;
+        taken |= BIT(v);
+        uint64_t row = s->adj[v];
+        int nsplit = 0;
+        for (int j = 0; j < ncells; j++) {
+            uint64_t mask = cells[j].mask, part = mask & row;
+            if (part && part != mask) {
+                int count = popcount(part);
+                split[nsplit++] = (struct open_cell){mask ^ part,
+                                                     cells[j].size - count};
+                split[nsplit++] = (struct open_cell){part, count};
+            } else {
+                split[nsplit++] = cells[j];
+            }
+        }
+        split[nsplit++] = (struct open_cell){BIT(v), 1};
+        if (defer_rec(s, t + 1, prefix, split, nsplit, rest & ~BIT(v)))
+            return 1;
+    }
+    return 0;
+}
+
 /* _pure._least_string: the least string when target is 0, otherwise own or
-   a value below it as soon as a prefix falls below own's. n <= 11. */
+   a value below it as soon as a prefix falls below own's. n <= 11.
+
+   Zero prefix: the least string's columns 0..alpha-1 are all zero, whatever
+   the order of the set placed there, and a labeling whose first alpha
+   vertices are not independent has a 1 there, so it is larger. So the
+   search branches on which maximum independent set fills positions
+   0..alpha-1 (the blocks), one per true-twin swap: swapping true twins is
+   an automorphism, and a false-twin class lies wholly inside or outside a
+   maximal independent set. The set's inner order stays open in cells until
+   the vertices placed after it fix it (defer_rec), then the plain DFS
+   (least_string_rec) takes over. A target with a 1 in columns 0..alpha-1
+   is above the least string and gets 0 at once. */
 static uint64_t
 least_string(int n, const uint64_t *adj, int target, uint64_t own)
 {
@@ -439,14 +578,30 @@ least_string(int n, const uint64_t *adj, int target, uint64_t own)
                 s.twins[u] |= BIT(v);
                 s.twins[v] |= BIT(u);
             }
+    struct blocks b = {.largest = 0, .count = 0};
+    uint64_t low = 0;
+    for (int v = 0; v < n; v++)
+        if (!(adj[v] & s.twins[v] & (BIT(v) - 1)))
+            low |= BIT(v);
+    for (int v = 0; v < n; v++)
+        b.non[v] = low & ~adj[v] & ~BIT(v);
+    blocks_expand(&b, 0, 0, low, 0);
+    int alpha = b.largest;
+    if (alpha == n)  /* no edges: every labeling gives 0 */
+        return 0;
+    if (target && own >> s.shifts[alpha - 1])
+        return 0;
     for (int i = 0; i < n; i++) {
         int v = i, j = i;
         for (; j > 0 && popcount(adj[s.order[j - 1]]) > popcount(adj[v]); j--)
             s.order[j] = s.order[j - 1];
         s.order[j] = v;
     }
-    struct cell root = {0, BIT(n) - 1};
-    least_string_rec(&s, 0, 0, &root, 1);
+    for (int i = 0; i < b.count; i++) {
+        struct open_cell root = {b.sets[i], alpha};
+        if (defer_rec(&s, alpha, 0, &root, 1, (BIT(n) - 1) & ~b.sets[i]))
+            break;
+    }
     return s.best;
 }
 

@@ -1,10 +1,14 @@
 """Canonical forms and exhaustive streams of small connected graphs.
 
 Canonical labeling minimizes the packed upper-triangle bit string over all
-relabelings. The search is a DFS over minimum-column ties with a prefix cut;
-the pure kernel also branches on one vertex per twin class and tries
-low-degree vertices first (see locdim._pure.canonical_bits). It is still
-exponential in the worst case, so it is deliberately capped at
+relabelings. The least string opens with alpha zero columns, alpha the
+independence number, since a labeling whose first alpha vertices are not
+independent has a 1 there. So both kernels first branch on which maximum
+independent set fills those positions (one per true-twin swap), leaving
+its inner order open until the vertices placed after it fix it, and then
+run a DFS over minimum-column ties with a prefix cut, one vertex per twin
+class and low-degree vertices first (see locdim._pure.canonical_bits). It
+is still exponential in the worst case, so it is deliberately capped at
 CANONICAL_MAX_VERTICES vertices; that covers every exhaustive sweep this
 package runs. Larger inputs must arrive as pre-deduplicated corpora.
 
@@ -28,11 +32,13 @@ runs upward, a lower twin in the column forcing the higher one in,
 because that keeps the smaller of two swapped columns.
 
 The acceptance test is kernels.is_canonical(n, rows, own), not a full
-canonical_bits search compared with own. It runs the same DFS over partial
-labelings but stops at the first one whose string prefix is below own's
-prefix of the same length. That already proves the child is not
+canonical_bits search compared with own. It runs the same search over
+partial labelings but stops at the first one whose string prefix is below
+own's prefix of the same length. That already proves the child is not
 canonical: the prefix is fixed by the vertices placed so far, so every
-completion of that partial labeling is a whole string below own.
+completion of that partial labeling is a whole string below own. A child
+whose first alpha vertices are not independent is rejected before any
+search.
 """
 
 from __future__ import annotations
@@ -56,11 +62,13 @@ from .graphs import (
     twin_masks,
 )
 
-CANONICAL_MAX_VERTICES = 8
+CANONICAL_MAX_VERTICES = 9
 
 # classes of connected graphs per order (OEIS A001349); the `--gen` usage
 # message reads them, and the tests check the generator against them
-CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+CONNECTED_CLASS_COUNTS = {
+    1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080,
+}
 
 # (order, connected only) -> canonical triangle bits of the classes the
 # generator accepted. An order that served as parents holds both entries.

@@ -208,6 +208,41 @@ def naive_canonical_bits(n: int, adj) -> int:
     return best
 
 
+def naive_blocks(n: int, adj) -> set[int]:
+    """The maximum independent sets whose every member is the lowest vertex
+    of its true-twin class (equal closed neighborhoods), as masks, by
+    testing every vertex subset. A subset is independent when its lowest
+    member has no neighbor in it and the rest is independent."""
+    closed = [adj[v] | 1 << v for v in range(n)]
+    lowest = sum(1 << v for v in range(n) if closed[v] not in closed[:v])
+    independent = [True] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        independent[s] = independent[s ^ low] and not adj[low.bit_length() - 1] & s
+    alpha = max(s.bit_count() for s in range(1 << n) if independent[s])
+    return {
+        s
+        for s in range(1 << n)
+        if independent[s] and s.bit_count() == alpha and not s & ~lowest
+    }
+
+
+def matching(k: int) -> Graph:
+    """kK2: k disjoint edges, vertex 2i joined to 2i + 1."""
+    return build(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+
+
+def petersen() -> Graph:
+    """The Petersen graph: outer 5-cycle 0..4, inner pentagram 5..9, and
+    spokes i to i + 5. No twins, independence number 4."""
+    return build(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    )
+
+
 def complete_multipartite(*parts: int) -> Graph:
     """Vertices numbered part by part; two vertices are adjacent iff they
     lie in different parts. Two parts give the complete bipartite graphs,

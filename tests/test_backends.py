@@ -7,19 +7,20 @@ one conftest builds from src/locdim/_speedups.c for this session.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
 import sys
 
 import pytest
-from conftest import random_connected, twin_rich_graphs
+from conftest import complete_multipartite, matching, petersen, random_connected, twin_rich_graphs
 
 import locdim.kernels
 from locdim import _pure
 from locdim.dimension import _lex_witness, distinguisher_sets, lower_bounds
-from locdim.families import gamma1, gamma2
-from locdim.graphs import triangle_bits
+from locdim.families import complete, cycle, gamma1, gamma2
+from locdim.graphs import build, graph_from_triangle_bits, triangle_bits
 
 SEED = 0x5EED
 
@@ -174,6 +175,90 @@ def test_is_canonical_agreement(compiled):
             expected = canon == target
             assert _pure.is_canonical(n, adj, target) == expected
             assert compiled.is_canonical(n, adj, target) == expected
+
+
+# sha256 of canonical_bits over _orders_nine_to_eleven(), one "n bits-in-hex"
+# line per graph, as the search gave before it branched on maximum
+# independent sets (every labeling order of a tie, both backends alike)
+ORDERS_NINE_TO_ELEVEN_SHA256 = "a0b23437b1ae631c136ec103f2b34f9cbb7acf0b22c6715e10b76142129d21be"
+
+
+def _orders_nine_to_eleven() -> list[tuple[int, list[int]]]:
+    """300 seeded graphs, orders 9, 10 and 11 in turn, each at p 0.2, 0.5
+    and 0.8; disconnected draws are kept."""
+    rng = random.Random(2412)
+    return [
+        (9 + i % 3, _random_adj(rng, 9 + i % 3, (0.2, 0.5, 0.8)[i // 3 % 3]))
+        for i in range(300)
+    ]
+
+
+def test_canonical_bits_pinned_above_the_permutation_oracle(impl):
+    """Above the n! oracle's range, the strings of the earlier search are
+    the oracle."""
+    text = "\n".join(
+        f"{n} {impl.canonical_bits(n, adj):x}" for n, adj in _orders_nine_to_eleven()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == ORDERS_NINE_TO_ELEVEN_SHA256
+
+
+# name -> (graph, least string) for families with many maximum independent
+# sets, or many twins, or neither; the strings are the earlier search's
+BLOCK_HEAVY = {
+    "K2": (matching(1), 0x1),
+    "2K2": (matching(2), 0xC),
+    "3K2": (matching(3), 0x290),
+    "4K2": (matching(4), 0x48840),
+    "5K2": (matching(5), 0x44208100),
+    "K11": (complete(11), (1 << 55) - 1),
+    "E11": (build(11, []), 0),
+    "K3,3,3": (complete_multipartite(3, 3, 3), 0x1FB9FFEFC),
+    "K2,2,2,2,2": (complete_multipartite(2, 2, 2, 2, 2), 0xF7FBFFDFFFE),
+    "K1,2,3,4": (complete_multipartite(1, 2, 3, 4), 0x7FBCFFFDFF),
+    "K5,6": (complete_multipartite(5, 6), 0xFFF7E7E3F0),
+    "K1,10": (complete_multipartite(1, 10), 0x3FF),
+    "C9": (cycle(9), 0x4AA50C0),
+    "C10": (cycle(10), 0xCA514180),
+    "Petersen": (petersen(), 0x1A98934990),
+}
+
+
+@pytest.mark.parametrize("g, least", BLOCK_HEAVY.values(), ids=BLOCK_HEAVY)
+def test_block_heavy_families(impl, g, least):
+    rng = random.Random(SEED + 5)
+    canon = graph_from_triangle_bits(g.n, least)
+    assert impl.is_canonical(g.n, canon.adj, least)
+    for _ in range(4):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        assert impl.canonical_bits(g.n, h.adj) == least
+        own = triangle_bits(g.n, h.adj)
+        assert impl.is_canonical(g.n, h.adj, own) == (own == least)
+
+
+def test_is_canonical_rejects_a_short_zero_prefix(impl):
+    """A labeling with an edge first has a 1 in column 1. With alpha >= 2
+    the least string's columns 0..alpha-1 are all zero, so that labeling is
+    not canonical, whatever follows."""
+    rng = random.Random(SEED + 6)
+    graphs = [g for g, _ in BLOCK_HEAVY.values() if g.edges()]
+    graphs += [random_connected(rng, rng.randint(3, 11)) for _ in range(40)]
+    for g in graphs:
+        edges = g.edges()
+        if len(edges) == g.n * (g.n - 1) // 2:
+            continue
+        u, v = edges[rng.randrange(len(edges))]
+        order = [u, v] + [w for w in range(g.n) if w not in (u, v)]
+        # vertex order[i] moves to position i
+        perm = [0] * g.n
+        for i, w in enumerate(order):
+            perm[w] = i
+        h = g.relabel(perm)
+        own = triangle_bits(g.n, h.adj)
+        assert own >> (g.n * (g.n - 1) // 2 - 1) == 1
+        assert not impl.is_canonical(g.n, h.adj, own), g
+        assert impl.canonical_bits(g.n, h.adj) < own
 
 
 def test_induced_embedding_agreement(compiled):

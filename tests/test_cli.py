@@ -282,7 +282,7 @@ class TestUsageErrors:
             ["dim"],
             ["dim", "--family", "c5", "--input", "-"],
             ["verify"],
-            ["verify", "--gen", "9"],
+            ["verify", "--gen", "10"],
             ["verify", "--gen", "5", "--jobs", "0"],
             ["verify", "--gen", "5", "--checks", "C1,C99"],
             ["dim", "--family", "c5", "--mode", "sideways"],
@@ -296,9 +296,9 @@ class TestUsageErrors:
 
     def test_gen_cap_message_is_explanatory(self, capsys):
         with pytest.raises(SystemExit):
-            main(["verify", "--gen", "9"])
+            main(["verify", "--gen", "10"])
         err = capsys.readouterr().err
-        assert "3..8 allowed" in err
+        assert "3..9 allowed" in err
 
     def test_gen_help_names_the_order_cap(self, capsys, monkeypatch):
         # the help reads the cap, so lifting it changes one constant

@@ -18,7 +18,10 @@ from conftest import (
     complete_multipartite,
     connected_class_bits_by_filter,
     connected_class_count_by_filter,
+    matching,
+    naive_blocks,
     naive_canonical_bits,
+    petersen,
     twin_rich_graphs,
 )
 
@@ -45,6 +48,7 @@ from locdim.graphs import (
     is_connected,
     to_graph6,
     triangle_bits,
+    twin_masks,
 )
 
 # classes of all graphs per order, connected or not (OEIS A000088)
@@ -88,7 +92,7 @@ class TestCanonical:
 
     def test_order_cap(self):
         with pytest.raises(ValueError, match=str(CANONICAL_MAX_VERTICES)):
-            canonical_key(complete(9))
+            canonical_key(complete(10))
 
 
 class TestCanonicalOracle:
@@ -187,6 +191,57 @@ class TestIsCanonical:
             _pure.is_canonical(12, [0] * 12, 0)
 
 
+class TestBlocks:
+    """The maximum independent sets the canonical search branches on, one
+    per true-twin swap, against subset search (conftest.naive_blocks)."""
+
+    @staticmethod
+    def _agree(n, adj):
+        blocks = _pure._blocks(n, adj, twin_masks(adj))
+        assert len(blocks) == len(set(blocks)), (n, adj)
+        assert set(blocks) == naive_blocks(n, adj), (n, adj)
+
+    def test_every_labeled_graph_up_to_order_six(self):
+        for n in range(1, 7):
+            for bits in range(1 << (n * (n - 1) // 2)):
+                self._agree(n, graph_from_triangle_bits(n, bits).adj)
+
+    def test_random_graphs_up_to_order_eleven(self):
+        rng = random.Random(1965)
+        for n in range(7, 12):
+            for _ in range(40):
+                p = rng.uniform(0.1, 0.9)
+                g = build(
+                    n,
+                    [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
+                )
+                self._agree(n, g.adj)
+
+    def test_block_heavy_families(self):
+        rng = random.Random(1973)
+        graphs = [matching(5), complete(11), build(11, []), petersen(), cycle(9), cycle(10)]
+        graphs += [complete_multipartite(*parts) for parts in ((3, 3, 3), (1, 2, 3, 4), (5, 6))]
+        for g in graphs:
+            self._agree(g.n, g.adj)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            self._agree(g.n, g.relabel(perm).adj)
+
+    def test_one_block_per_true_twin_swap(self):
+        # 2**5 maximum independent sets, all one swap of true twins apart
+        assert _pure._blocks(10, matching(5).adj, twin_masks(matching(5).adj)) == [
+            0b0101010101
+        ]
+        # a false-twin class lies wholly inside or outside: the parts of
+        # K_{3,3,3} are the three blocks
+        g = complete_multipartite(3, 3, 3)
+        assert sorted(_pure._blocks(9, g.adj, twin_masks(g.adj))) == [
+            0b000000111,
+            0b000111000,
+            0b111000000,
+        ]
+
+
 class TestStreams:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_class_counts(self, n):
@@ -225,7 +280,7 @@ class TestStreams:
         assert len(stream) == CONNECTED_CLASS_COUNTS[8]
         assert set(stream) == expected
 
-    @pytest.mark.parametrize("n", [0, 9])
+    @pytest.mark.parametrize("n", [0, 10])
     def test_stream_domain(self, n):
         with pytest.raises(ValueError):
             list(connected_graphs(n))
