@@ -16,7 +16,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from typing import NamedTuple
 
-from .dimension import _value, local_metric_dimension, lower_bounds
+from .dimension import _value, lower_bounds
 from .enumeration import CANONICAL_MAX_VERTICES, canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
 from .graphs import Graph, bit_indices, is_bipartite, to_graph6
@@ -429,7 +429,7 @@ def family_split_table(max_n: int = 10) -> FamilyTableReport:
             for lam in range(mu, n - mu):
                 g = complete_minus_bipartite(n, lam, mu)
                 expected = n - 2 if mu == 1 else n - 3
-                actual = local_metric_dimension(g).value
+                actual = _value(g, "local")
                 rows.append(FamilyTableRow(n, lam, mu, expected, actual))
     return FamilyTableReport(tuple(rows))
 
@@ -482,7 +482,7 @@ def problem1_refutation(max_triangles: int = 4) -> RefutationReport:
     rows = []
     for count in range(2, max_triangles + 1):
         g = apex_triangles(count)
-        value = local_metric_dimension(g).value
+        value = _value(g, "local")
         rows.append(RefutationRow(count, g.n, value, (g.n + 2) // 2))
     return RefutationReport(tuple(rows))
 

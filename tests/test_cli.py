@@ -286,13 +286,26 @@ class TestUsageErrors:
             ["verify", "--gen", "5", "--jobs", "0"],
             ["verify", "--gen", "5", "--checks", "C1,C99"],
             ["dim", "--family", "c5", "--mode", "sideways"],
+            ["verify", "--gen", "x"],
+            ["verify", "--gen", "5", "--jobs", "x"],
         ],
     )
     def test_exit_one(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        # argparse words a bare ValueError with the type function's name
+        assert "_gen_order" not in err and "_jobs" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--gen", "x"], ["verify", "--gen", "5", "--jobs", "x"]]
+    )
+    def test_non_integer_says_an_integer_is_expected(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "expected an integer, got 'x'" in capsys.readouterr().err
 
     def test_gen_cap_message_is_explanatory(self, capsys):
         with pytest.raises(SystemExit):

@@ -109,6 +109,21 @@ class TestTwins:
         with pytest.raises(DisconnectedError):
             lower_bounds(build(4, [(0, 1), (2, 3)]))
 
+    def test_classes_come_out_ordered_by_smallest_member(self):
+        # twin_partition relies on dict insertion order instead of sorting
+        rng = random.Random(20)
+        graphs = list(stream_upto(7))
+        for _ in range(300):
+            n = rng.randint(2, 30)
+            p = rng.choice((0.3, 0.7, 0.9))
+            graphs.append(
+                build(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            )
+        for g in graphs:
+            classes = twin_partition(g).classes
+            assert classes == tuple(sorted(classes)), g.edges()
+            assert all(list(cls) == sorted(cls) for cls in classes)
+
     def test_partition_properties(self):
         for g in stream_upto(6):
             tp = twin_partition(g)

@@ -1,10 +1,18 @@
-"""The clique number and the true-twin partition are computed once per
+"""Each verb computes each answer once.
+
+The clique number and the true-twin partition are computed once per
 graph: by dimension.lower_bounds, whose LowerBounds every consumer reads.
 The sweep, and `dim` without --witness, solve each graph with one
 hitting-set call and never rebuild a witness, a suite run normalizes its
 check ids once, and the human verify report collects its violations once.
 No floor reaches a value search: only the witness rebuild hands the kernel
-a lower bound."""
+a lower bound.
+
+The family tools (problem1_refutation behind `refute-problem1`, and
+family_split_table) solve each member with one unseeded hitting-set call
+and compute neither floors nor a witness. `pattern --host` runs one
+induced search per gamma and reads gamma-freeness off the two, and
+`family` calls no kernel."""
 
 from __future__ import annotations
 
@@ -16,8 +24,16 @@ import locdim.kernels
 from locdim import dimension, invariants, verify
 from locdim.cli import main
 from locdim.enumeration import connected_graphs
+from locdim.families import from_spec
 from locdim.graphs import to_graph6
-from locdim.verify import check_graph, run_suite, scan_clique_ratio
+from locdim.pattern import is_gamma_free
+from locdim.verify import (
+    check_graph,
+    family_split_table,
+    problem1_refutation,
+    run_suite,
+    scan_clique_ratio,
+)
 
 
 def _counted(tally: dict[str, int], name: str, fn):
@@ -129,6 +145,53 @@ def test_dim_without_witness_never_rebuilds(solves, capsys, tmp_path, mode):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 21 and not any(" witness=" in line for line in lines)
     assert solves == {"_lex_witness": 0, "floors": [0] * 21}
+
+
+def test_family_tools_solve_each_member_once_for_the_value(counts, solves):
+    members = len(problem1_refutation(5).rows) + len(family_split_table(7).rows)
+    assert members == 4 + 22
+    assert solves == {"_lex_witness": 0, "floors": [0] * members}
+    assert counts == {"max_clique": 0, "twin_partition": 0}
+
+
+NAMED_HOSTS = ["gamma1", "gamma2", "knm(9,4,2)", "upsilon(7)", "lambda", "apex(4)"]
+
+
+@pytest.mark.parametrize("host", NAMED_HOSTS)
+def test_pattern_searches_each_gamma_once(monkeypatch, capsys, host):
+    tally = {"induced_embedding": 0}
+    search = _counted(tally, "induced_embedding", locdim.kernels.induced_embedding)
+    monkeypatch.setattr(locdim.kernels, "induced_embedding", search)
+    assert main(["pattern", "--host", host]) == 0
+    assert capsys.readouterr().out.count("\n") == 4
+    assert tally == {"induced_embedding": 2}
+
+
+def test_pattern_gamma_free_line_is_is_gamma_free(capsys):
+    hosts = [(to_graph6(g), g) for n in range(1, 7) for g in connected_graphs(n)]
+    hosts += [(spec, from_spec(spec)) for spec in NAMED_HOSTS]
+    assert len(hosts) == 143 + 6
+    answers = set()
+    for text, g in hosts:
+        assert main(["pattern", "--host", text]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"gamma-free: {'yes' if is_gamma_free(g) else 'no'}", text
+        answers.add(last)
+    assert answers == {"gamma-free: yes", "gamma-free: no"}
+
+
+def test_family_calls_no_kernel(monkeypatch, capsys):
+    tally = dict.fromkeys([name for name in locdim.kernels.__all__ if name != "BACKEND"], 0)
+    for name in tally:
+        monkeypatch.setattr(
+            locdim.kernels, name, _counted(tally, name, getattr(locdim.kernels, name))
+        )
+    specs = ["k5", "cn(6)", "p4", *NAMED_HOSTS]
+    for spec in specs:
+        for extra in ([], ["--edges"]):
+            assert main(["family", spec, *extra]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 * len(specs)
+    assert tally == dict.fromkeys(tally, 0)
 
 
 def test_run_suite_normalizes_the_check_ids_once(monkeypatch):
