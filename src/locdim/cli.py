@@ -12,7 +12,7 @@ import sys
 from collections.abc import Iterable
 
 from . import verify as verify_mod
-from .dimension import _value, local_metric_dimension, lower_bounds, metric_dimension
+from .dimension import MODES, _value, local_metric_dimension, lower_bounds, metric_dimension
 from .enumeration import (
     CANONICAL_MAX_VERTICES,
     CONNECTED_CLASS_COUNTS,
@@ -217,7 +217,7 @@ def _build_parser() -> _Parser:
     src = p_dim.add_mutually_exclusive_group(required=True)
     src.add_argument("--family", metavar="SPEC", help="family spec, see below")
     src.add_argument("--input", metavar="PATH", help="graph6 file, or - for stdin")
-    p_dim.add_argument("--mode", choices=("local", "full"), default="local",
+    p_dim.add_argument("--mode", choices=MODES, default="local",
                        help="local: adjacent pairs only (default); full: all pairs")
     p_dim.add_argument("--witness", action="store_true",
                        help="print the lexicographically smallest optimal set")
@@ -251,14 +251,14 @@ def _build_parser() -> _Parser:
 
     p_scan = sub.add_parser("scan", help="scan the clique-ratio inequality")
     _add_source_flags(p_scan)
-    p_scan.add_argument("--omega", type=int, action="append", metavar="W",
+    p_scan.add_argument("--omega", type=_integer, action="append", metavar="W",
                         help="restrict to this clique number (repeatable)")
     p_scan.set_defaults(handler=_cmd_scan)
 
     p_refute = sub.add_parser("refute-problem1",
                               help="probe the ceil((n+1)/2) ceiling on the "
                                    "apex-over-triangles family")
-    p_refute.add_argument("--max-triangles", type=int, default=4, metavar="L",
+    p_refute.add_argument("--max-triangles", type=_integer, default=4, metavar="L",
                           help="largest member to probe (default 4)")
     p_refute.set_defaults(handler=_cmd_refute)
 

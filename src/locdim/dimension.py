@@ -157,6 +157,8 @@ def _distinguisher_masks(g: Graph, mode: str) -> list[int]:
     n = g.n
     adj = g.adj
     full = (1 << n) - 1
+    # its own walk, not graphs._layers: bfs_distances feeds is_local_resolving,
+    # the oracle this solver is checked against, so the two share no code
     layers = []
     for u in range(n):
         seen = frontier = 1 << u

@@ -291,17 +291,25 @@ class DistanceMatrix(NamedTuple):
         return self.d[u][v]
 
 
-def _reach(adj: Sequence[int], start_mask: int) -> int:
-    """Mask of vertices reachable from the seed mask."""
-    seen = start_mask
-    frontier = start_mask
+def _layers(adj: Sequence[int], seed: int) -> Iterator[int]:
+    """Breadth-first layers as masks: the seed, then each set of vertices
+    first reached one step further out. An empty seed yields nothing."""
+    seen = frontier = seed
     while frontier:
+        yield frontier
         nxt = 0
-        for v in bit_indices(frontier):
-            nxt |= adj[v]
+        while frontier:  # the layer is yielded, so it can be used up here
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & ~seen
-        seen |= nxt
-    return seen
+        seen |= frontier
+
+
+def _reach(adj: Sequence[int], start_mask: int) -> int:
+    """Mask of vertices reachable from the seed mask: the layers are
+    disjoint, so their sum is their union."""
+    return sum(_layers(adj, start_mask))
 
 
 def is_connected(g: Graph) -> bool:
@@ -311,53 +319,29 @@ def is_connected(g: Graph) -> bool:
 def bfs_distances(g: Graph) -> DistanceMatrix:
     """Bitset BFS from every vertex; rejects disconnected graphs, whose
     distances would be undefined."""
-    full = (1 << g.n) - 1
     rows = []
     for s in range(g.n):
         dist = [-1] * g.n
-        seen = 1 << s
-        frontier = seen
-        d = 0
-        while frontier:
-            for v in bit_indices(frontier):
+        for d, layer in enumerate(_layers(g.adj, 1 << s)):
+            for v in bit_indices(layer):
                 dist[v] = d
-            nxt = 0
-            for v in bit_indices(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-            d += 1
-        if seen != full:
+        if -1 in dist:
             raise DisconnectedError("distances undefined: graph is disconnected")
         rows.append(tuple(dist))
     return DistanceMatrix(g.n, tuple(rows))
 
 
 def is_bipartite(g: Graph) -> bool:
-    """Two-color every component; True iff no edge joins equal colors."""
-    col0 = 0
-    col1 = 0
-    for s in range(g.n):
-        if ((col0 | col1) >> s) & 1:
-            continue
-        col0 |= 1 << s
-        frontier = 1 << s
-        odd = True
-        while frontier:
-            nxt = 0
-            for v in bit_indices(frontier):
-                nxt |= g.adj[v]
-            nxt &= ~(col0 | col1)
-            if odd:
-                col1 |= nxt
-            else:
-                col0 |= nxt
-            odd = not odd
-            frontier = nxt
-    for v in range(g.n):
-        same = col0 if (col0 >> v) & 1 else col1
-        if g.adj[v] & same:
-            return False
+    """True iff no BFS layer, seeded at each component's lowest vertex,
+    holds an edge. Edges join a layer to itself or the next, so without one
+    inside a layer the parities two-color; one in layer d closes an odd walk."""
+    unseen = (1 << g.n) - 1
+    while unseen:
+        for layer in _layers(g.adj, unseen & -unseen):
+            for v in bit_indices(layer):
+                if g.adj[v] & layer:
+                    return False
+            unseen ^= layer
     return True
 
 

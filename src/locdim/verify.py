@@ -167,7 +167,9 @@ def _c7(f: GraphFacts) -> tuple[bool, bool, str]:
     """C7: omega <= n-3: dim_local <= n-3, equality only on the extremal family."""
     if f.n < 5 or f.omega > f.n - 3:
         return False, True, _NOT_APPLICABLE
-    member = f.is_cycle5 or f.is_split_extremal
+    # omega <= n-3 makes the classification's first case false before it
+    # reads gamma_free
+    member = f.classified_n_minus_3
     ok = f.dim_local <= f.n - 3 and (f.dim_local == f.n - 3) == member
     return True, ok, f"dim_local={f.dim_local} ceiling={f.n - 3} extremal_member={member}"
 
@@ -202,9 +204,8 @@ def _c10(f: GraphFacts) -> tuple[bool, bool, str]:
     if f.n < 5 or f.omega != f.n - 2:
         return False, True, _NOT_APPLICABLE
     in_range = f.n - 4 <= f.dim_local <= f.n - 3
-    upper = (f.dim_local == f.n - 3) == f.gamma_free
-    lower = (f.dim_local == f.n - 4) == (not f.gamma_free)
-    ok = in_range and upper and lower
+    # in range, dim_local = n-4 exactly when it is not n-3
+    ok = in_range and (f.dim_local == f.n - 3) == f.gamma_free
     return True, ok, f"dim_local={f.dim_local} gamma_free={f.gamma_free}"
 
 

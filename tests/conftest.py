@@ -98,6 +98,27 @@ def naive_dimension(g: Graph, mode: str = "local") -> tuple[int, tuple[int, ...]
     raise AssertionError("no resolving set found, which is impossible")
 
 
+def naive_distances(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+    """All-pairs hop distances by plain queue BFS over neighbour lists, -1
+    where no path exists; independent of the package's bitmask BFS."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    rows = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        queue = [s]
+        for u in queue:
+            for v in nbrs[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        rows.append(dist)
+    return rows
+
+
 def naive_hitting_set(universe: int, masks) -> tuple[int, int]:
     """Smallest set of elements 0..universe-1 meeting every mask, by trying
     combinations of ascending size; the first hit is the lexicographically

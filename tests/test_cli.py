@@ -288,6 +288,8 @@ class TestUsageErrors:
             ["dim", "--family", "c5", "--mode", "sideways"],
             ["verify", "--gen", "x"],
             ["verify", "--gen", "5", "--jobs", "x"],
+            ["scan", "--gen", "5", "--omega", "x"],
+            ["refute-problem1", "--max-triangles", "x"],
         ],
     )
     def test_exit_one(self, capsys, argv):
@@ -300,7 +302,13 @@ class TestUsageErrors:
         assert "_gen_order" not in err and "_jobs" not in err
 
     @pytest.mark.parametrize(
-        "argv", [["verify", "--gen", "x"], ["verify", "--gen", "5", "--jobs", "x"]]
+        "argv",
+        [
+            ["verify", "--gen", "x"],
+            ["verify", "--gen", "5", "--jobs", "x"],
+            ["scan", "--gen", "5", "--omega", "x"],
+            ["refute-problem1", "--max-triangles", "x"],
+        ],
     )
     def test_non_integer_says_an_integer_is_expected(self, capsys, argv):
         with pytest.raises(SystemExit):

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     assert_hitting_set,
     naive_dimension,
+    naive_distances,
     naive_hitting_set,
     naive_optima,
     random_connected,
@@ -18,6 +19,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locdim.graphs
 import locdim.kernels
 from locdim import _pure
 from locdim.dimension import (
@@ -123,7 +125,7 @@ class TestConstraints:
 def _oracle_constraints(g: Graph, mode: str) -> list[tuple[tuple[int, int], int]]:
     """(pair, distinguisher mask) from the test's own queue BFS, pairs u
     ascending then v > u ascending, edges only in local mode."""
-    dist = _oracle_distances(g.n, g.edges())
+    dist = naive_distances(g.n, g.edges())
     pairs = g.edges() if mode == "local" else itertools.combinations(range(g.n), 2)
     return [
         ((u, v), sum(1 << w for w in range(g.n) if dist[w][u] != dist[w][v]))
@@ -153,6 +155,27 @@ class TestDistanceLayerMasks:
         for n in (2, 3, 9, 16, 25, 33, 40):
             for p in (0.08, 0.2, 0.5, 0.9):
                 self._assert_matches_oracle(random_connected(rng, n, p), mode)
+
+    @pytest.mark.parametrize("mode", ["local", "full"])
+    def test_masks_share_no_walk_with_bfs_distances(self, monkeypatch, mode):
+        """bfs_distances feeds is_local_resolving, the definition-level
+        oracle the solver is checked against, so the solver's masks must
+        not come from the same layer walk: with graphs._layers broken,
+        the masks still match the queue-BFS oracle while bfs_distances
+        fails."""
+
+        hosts = [*stream_upto(6), gamma1(), upsilon(3), apex_triangles(3)]
+
+        def broken(adj, seed):
+            raise AssertionError("graphs._layers called")
+
+        monkeypatch.setattr(locdim.graphs, "_layers", broken)
+        for g in hosts:
+            assert _distinguisher_masks(g, mode) == [m for _, m in _oracle_constraints(g, mode)]
+        with pytest.raises(DisconnectedError):
+            _distinguisher_masks(build(4, [(0, 1), (2, 3)]), mode)
+        with pytest.raises(AssertionError, match="_layers"):
+            bfs_distances(cycle(5))
 
 
 class TestBounds:
@@ -637,27 +660,6 @@ class TestPureSearch:
         assert nodes <= ceiling
 
 
-def _oracle_distances(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:
-    """All-pairs hop distances by plain queue BFS, independent of the
-    package's bitmask BFS."""
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    rows = []
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        for u in queue:
-            for v in nbrs[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        rows.append(dist)
-    return rows
-
-
 def _covering_milp(n, rows, lower=0, upper=1, extra=()):
     """Minimize the number of chosen vertices subject to hitting every row,
     per-vertex bounds, and extra (coefficients, lb, ub) rows."""
@@ -690,7 +692,7 @@ class TestDenseIlpOracle:
         pytest.importorskip("scipy")
         g = random_connected(random.Random(f"dense:{n}:{p}"), n, p)
         edges = g.edges()
-        dist = _oracle_distances(n, edges)
+        dist = naive_distances(n, edges)
 
         def rows(pairs):
             return [[w for w in range(n) if dist[w][u] != dist[w][v]] for u, v in pairs]

@@ -10,6 +10,7 @@ import pickle
 import random
 
 import pytest
+from conftest import naive_distances
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from locdim.graphs import (
     DisconnectedError,
     Graph,
     Graph6Error,
+    _reach,
     bfs_distances,
     bit_indices,
     build,
@@ -325,6 +327,31 @@ class TestTraversals:
                 assert (dm.dist(u, v) == 1) == g.has_edge(u, v)
                 for w in range(g.n):
                     assert dm.dist(u, v) <= dm.dist(u, w) + dm.dist(w, v)
+
+    @given(graphs(max_n=9))
+    def test_distances_match_a_queue_bfs(self, g: Graph):
+        # the oracle reads edges through has_edge alone, not the mask walk
+        edges = [(u, v) for v in range(g.n) for u in range(v) if g.has_edge(u, v)]
+        expected = naive_distances(g.n, edges)
+        if any(-1 in row for row in expected):
+            with pytest.raises(DisconnectedError):
+                bfs_distances(g)
+            return
+        assert bfs_distances(g).d == tuple(map(tuple, expected))
+
+    @given(graphs(max_n=9), st.integers(0, (1 << 9) - 1))
+    def test_reach_is_the_closure_of_the_seed(self, g: Graph, bits: int):
+        # grow the seed one neighbour at a time until nothing new joins
+        for seed in (0, bits & ((1 << g.n) - 1)):
+            closure = {v for v in range(g.n) if seed >> v & 1}
+            grown = True
+            while grown:
+                grown = False
+                for u in range(g.n):
+                    if u not in closure and any(g.has_edge(u, v) for v in closure):
+                        closure.add(u)
+                        grown = True
+            assert _reach(g.adj, seed) == sum(1 << v for v in closure)
 
 
 class TestPredicates:

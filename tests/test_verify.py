@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -155,6 +156,28 @@ class TestCheckGraph:
     def test_check_subset_keeps_registry_order(self):
         rep = check_graph(cycle(5), checks=("C3", "C1"))
         assert rep.checks == ("C1", "C3")
+
+    @pytest.mark.parametrize("dim_local, holds", [(3, False), (4, True), (9, True), (10, False)])
+    def test_c8_floor_for_omega_n_minus_3(self, dim_local, holds):
+        # no plant reaches n - 8 <= dim_local through order 8, where the
+        # floor is at most 0; n = 12, omega = 9 puts it at 4
+        facts = SimpleNamespace(n=12, omega=9, dim_local=dim_local)
+        assert verify_mod._c8(facts) == (
+            True, holds, f"dim_local={dim_local} omega=9 regime=n-3"
+        )
+
+    def test_c7_never_reads_gamma_free(self, monkeypatch):
+        """Under C7's premise (omega <= n-3) the n-3 classification is
+        settled before gamma_free, which costs two embedding searches."""
+
+        def unread(g):
+            raise AssertionError("gamma_free read")
+
+        monkeypatch.setattr(verify_mod, "is_gamma_free", unread)
+        for g in [*connected_graphs(6), cycle(5), complete_minus_bipartite(7, 3, 3)]:
+            f = GraphFacts(g)
+            if f.omega <= f.n - 3:
+                assert verify_mod._c7(f)[0]
 
 
 class TestNormalize:
