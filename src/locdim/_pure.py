@@ -90,33 +90,43 @@ def _least(rem: list[int], allowed: int, picked: int, found: int, floor: int) ->
     elements not excluded above this node) and is in size order; the first
     hitting set found of size at most floor ends the search. A node with
     nothing left to hit returns picked, which is always the smaller: a
-    child is built only while chosen + 1 < best. A node with
-    chosen + 2 == best answers with one AND of rem instead of branching,
-    taking the AND's lowest element (see min_hitting_set)."""
+    child is built only while chosen + 3 < best. A sibling tried while
+    chosen + 3 >= best is answered here, with one AND of the constraints
+    it misses, instead of by a child (see min_hitting_set)."""
     if not rem:
         return picked
     chosen = picked.bit_count()
     best = found.bit_count()
-    # rem needs one more element at least, so chosen + 1 >= best prunes
-    # before the packing bound is counted
-    if best <= floor or chosen + 1 >= best:
+    # only the root is entered with chosen + 2 >= best, and a greedy cover
+    # of 2 means no one element hits every constraint (see min_hitting_set)
+    if best <= floor or chosen + 2 >= best:
         return found
-    if chosen + 2 == best:
-        common = allowed
-        for c in rem:
-            common &= c
-            if not common:
-                return found
-        return picked | (common & -common)
     if chosen + _pack_bound(rem) >= best:
         return found
     # every hitting set hits rem[0]; branch on its elements, lowest first
     branch = rem[0]
     while True:
         bit = branch & -branch
-        child = sorted([c & allowed for c in rem if not c & bit], key=int.bit_count)
-        found = _least(child, allowed, picked | bit, found, floor)
-        best = found.bit_count()
+        if chosen + 3 < best:
+            child = sorted([c & allowed for c in rem if not c & bit], key=int.bit_count)
+            found = _least(child, allowed, picked | bit, found, floor)
+            best = found.bit_count()
+        else:
+            # the child could improve on best only with at most one more
+            # element, common to every constraint that bit misses
+            common = allowed
+            for c in rem:
+                if not c & bit:
+                    common &= c
+                    if not common:
+                        break
+            if common & bit:
+                # bit misses nothing, so the child would have nothing to hit
+                found = picked | bit
+                best = chosen + 1
+            elif common and chosen + 3 == best:
+                found = picked | bit | (common & -common)
+                best = chosen + 2
         branch ^= bit
         if best <= floor or not branch:
             return found
@@ -176,14 +186,22 @@ def min_hitting_set(
     siblings partition the hitting sets below the node, so no optimum is
     lost.
 
-    A node whose chosen count is two below best can improve best only with
-    one element that hits every remaining constraint, so it does not
-    branch. It ANDs its constraints into allowed, stopping once the AND is
-    0, and a non-zero AND gives its lowest element. That is the set the
-    sibling loop would return: the AND lies within rem[0], whose siblings
-    run lowest first, so its lowest element is the first sibling with an
-    empty child; the siblings before it fail at once and exclude only
-    elements outside the AND, so the packing bound stays 1 up to it.
+    A child whose chosen count is two below best can improve best only with
+    one element that hits every constraint it holds, so its parent answers
+    it without building it. For a sibling v tried while chosen + 3 >= best,
+    the parent ANDs allowed with each of its own constraints that v misses,
+    stopping once the AND is 0. When v misses none, the child would have
+    nothing to hit, and picked | v is taken, one element more. Otherwise,
+    while best is still chosen + 3, a non-zero AND gives picked | v and its
+    lowest element. That is the set the child's own sibling loop would
+    return: the AND lies within the child's rem[0], whose siblings run
+    lowest first, so its lowest element is the first sibling with an empty
+    child; the siblings before it fail at once and exclude only elements
+    outside the AND, so the packing bound stays 1 up to it. Children are
+    built only while chosen + 3 < best, so no node is entered with
+    chosen + 2 >= best but the root. The root cannot improve on a greedy
+    cover of 2 either: an element that hits every constraint hits the most
+    of them, so the greedy cover would have taken it first and been 1.
 
     The search starts from the greedy cover (most hits first, ties to the
     smaller element) and stops at the floor: the larger of lower_bound and

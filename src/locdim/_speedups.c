@@ -193,11 +193,12 @@ struct hitting {
    elements, and a node with nothing left to hit always improves on best.
    Each level reads its constraint array rem[0..k), in size order and
    within allowed, and builds its children's arrays right after it, at
-   rem + k. A node with chosen + 2 == best builds none: it ANDs rem into
-   allowed and takes the lowest common element, if any, which is the
-   sibling the loop would stop at. So only nodes with chosen <= best - 3
-   branch, the arrays end at level best - 2, and the k * greedy arena of
-   hs_solve holds them with one array to spare. */
+   rem + k. A sibling v tried while chosen + 3 >= best gets no child: the
+   node ANDs allowed with the constraints v misses and takes v alone when
+   it misses none, or v and the lowest common element, which is what the
+   child would return. So only nodes with chosen <= best - 4 build
+   children, no child is built at level greedy - 2 or deeper, and the
+   k * greedy arena of hs_solve holds every array with room to spare. */
 static void
 hs_search(struct hitting *h, int chosen, uint64_t picked, uint64_t *rem,
           int k, uint64_t allowed)
@@ -207,26 +208,33 @@ hs_search(struct hitting *h, int chosen, uint64_t picked, uint64_t *rem,
         h->best_set = picked;
         return;
     }
-    if (h->best <= h->floor || chosen + 1 >= h->best)
+    /* no parent builds a child with chosen + 2 >= best, and the root does
+       not improve on a greedy cover of 2 */
+    if (h->best <= h->floor || chosen + 2 >= h->best)
         return;
-    if (chosen + 2 == h->best) {
-        uint64_t common = allowed;
-        for (int i = 0; i < k && common; i++)
-            common &= rem[i];
-        if (common) {
-            h->best = chosen + 1;
-            h->best_set = picked | (common & -common);
-        }
-        return;
-    }
     if (chosen + pack_bound(rem, k, allowed) >= h->best)
         return;
     uint64_t *child = rem + k;
     for (uint64_t bits = rem[0];;) {
         int v = lowest(bits);
-        int nk = unhit(rem, k, v, allowed, child);
-        sort_by_size(child, nk, h->scratch);
-        hs_search(h, chosen + 1, picked | BIT(v), child, nk, allowed);
+        if (chosen + 3 < h->best) {
+            int nk = unhit(rem, k, v, allowed, child);
+            sort_by_size(child, nk, h->scratch);
+            hs_search(h, chosen + 1, picked | BIT(v), child, nk, allowed);
+        } else {
+            uint64_t common = allowed;
+            for (int i = 0; i < k && common; i++)
+                if (!((rem[i] >> v) & 1))
+                    common &= rem[i];
+            if (common & BIT(v)) {
+                /* v misses nothing */
+                h->best = chosen + 1;
+                h->best_set = picked | BIT(v);
+            } else if (common && chosen + 3 == h->best) {
+                h->best = chosen + 2;
+                h->best_set = picked | BIT(v) | (common & -common);
+            }
+        }
         bits &= bits - 1;
         if (h->best <= h->floor || bits == 0)
             return;
@@ -278,7 +286,8 @@ hs_solve(const uint64_t *cons, int k, int lower_bound, uint64_t *scratch)
     if (h.floor < pack)
         h.floor = pack;
     if (h.best > h.floor) {
-        /* one array per level; no node at level greedy - 1 branches */
+        /* one array per level; no child is built at level greedy - 2 or
+           deeper */
         uint64_t *work = PyMem_Malloc((size_t)k * greedy * sizeof *work);
         if (work == NULL)
             return PyErr_NoMemory();

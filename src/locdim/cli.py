@@ -252,7 +252,8 @@ def _build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", help="scan the clique-ratio inequality")
     _add_source_flags(p_scan)
     p_scan.add_argument("--omega", type=_integer, action="append", metavar="W",
-                        help="restrict to this clique number (repeatable)")
+                        help="restrict to this clique number, 3 or more "
+                             "(repeatable)")
     p_scan.set_defaults(handler=_cmd_scan)
 
     p_refute = sub.add_parser("refute-problem1",

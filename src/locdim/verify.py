@@ -512,10 +512,13 @@ def scan_clique_ratio(
 ) -> ScanReport:
     """Exact-integer scan of dim_local*(omega-1) <= (omega-2)*n over graphs
     meeting the n >= omega+1 >= 4 gate; omega_values optionally narrows the
-    clique numbers scanned. The gate reads omega from lower_bounds, and only
-    graphs that pass it are solved, for the value alone and without those
-    bounds."""
+    clique numbers scanned, and a requested omega below 3, which the gate
+    never lets through, raises ValueError before any graph is read. The gate
+    reads omega from lower_bounds, and only graphs that pass it are solved,
+    for the value alone and without those bounds."""
     wanted = None if omega_values is None else set(omega_values)
+    if wanted and min(wanted) < 3:
+        raise ValueError(f"need omega >= 3, got {min(wanted)}")
     total = 0
     applicable = 0
     violations = []

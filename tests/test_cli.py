@@ -257,6 +257,13 @@ class TestScanAndRefute:
         assert code == 0
         assert "scanned: 1" in out
 
+    @pytest.mark.parametrize("omega", ["-3", "0", "2"])
+    def test_scan_rejects_omega_below_three(self, capsys, omega):
+        code, out, err = run_cli(capsys, "scan", "--gen", "5", "--omega", "4", "--omega", omega)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: need omega >= 3, got {omega}\n"
+
     def test_refutation_found(self, capsys):
         code, out, _ = run_cli(capsys, "refute-problem1")
         assert code == 0

@@ -425,6 +425,59 @@ def _random_system(rng: random.Random, universe: int) -> list[int]:
     return masks
 
 
+def _greedy_trap(halves: tuple[int, int], decoys: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """30 constraints {half, decoy, filler} on the elements 0..35: each half
+    lies in 15 of them, the decoys in 8, 4, 2 and 1 of each half's, and each
+    constraint has a filler of its own, the other elements in ascending
+    order. The greedy cover takes the four decoys; the optimum is the two
+    halves."""
+    fillers = [v for v in range(36) if v not in halves + decoys]
+    return tuple(
+        (halves[j // 15], decoys[(j % 15 >= 8) + (j % 15 >= 12) + (j % 15 >= 14)], filler)
+        for j, filler in enumerate(fillers)
+    )
+
+
+def _one_and_level(rem, allowed, picked, found, floor):
+    """The siblings tried by a search node entered with best == chosen + 3,
+    each answered in the node, and the set the node returns. A sibling is
+    (missed, common): the allowed parts of the constraints it misses and
+    their AND within allowed. It gives picked and itself when it misses
+    nothing, and picked, itself and the lowest element of common when that
+    is not empty and best is still chosen + 3."""
+    chosen = picked.bit_count()
+
+    def packing(allowed: int) -> int:
+        used = count = 0
+        for c in rem:
+            if not c & allowed & used:
+                used |= c & allowed
+                count += 1
+        return count
+
+    siblings = []
+    if chosen + packing(allowed) >= found.bit_count():
+        return siblings, found
+    branch = rem[0]
+    while branch:
+        bit = branch & -branch
+        missed = [c & allowed for c in rem if not c & bit]
+        common = allowed
+        for c in missed:
+            common &= c
+        siblings.append((missed, common))
+        if not missed:
+            found = picked | bit
+        elif common and found.bit_count() == chosen + 3:
+            found = picked | bit | (common & -common)
+        branch ^= bit
+        allowed ^= bit
+        best = found.bit_count()
+        if best <= floor or chosen + packing(allowed) >= best:
+            break
+    return siblings, found
+
+
 class TestHittingSetOracle:
     """The kernel's set, under every valid lower bound the solver can be
     handed, and the lex-smallest witness rebuilt from it and its probes,
@@ -485,14 +538,15 @@ class TestHittingSetOracle:
         search reads; offset 55 moves them to the word's top bits."""
         check(offset + 7, _masks(*[tuple(v + offset for v in s) for s in sets]))
 
-    @pytest.mark.parametrize("offset", [0, 55], ids=["low", "top-of-word"])
+    @pytest.mark.parametrize("top", [False, True], ids=["low", "top-of-word"])
     @pytest.mark.parametrize(
         ("sets", "lower_bound", "case"),
         [
-            # the path 0-3-1-4-2: greedy takes {0, 1, 2}; below the root's
-            # sibling 3, {1, 4} and {2, 4} share only 4, not rem[0]'s 1
+            # the path 0-3-1-4-2: greedy takes {0, 1, 2}; at the root's
+            # sibling 3, {1, 4} and {2, 4} share only 4, not the lowest
+            # element 1 of the first of them
             (((0, 3), (1, 3), (1, 4), (2, 4)), 0, "not-lowest"),
-            # the Fano plane: below the root's first sibling, 0, the four
+            # the Fano plane: at the root's first sibling, 0, the four
             # lines that miss 0 meet pairwise but share no point
             (
                 ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)),
@@ -500,31 +554,38 @@ class TestHittingSetOracle:
                 "no-common",
             ),
             # packing bound 1 and value 2: the floor 2 comes from
-            # lower_bound, and the exit below the root's sibling 2 meets it
+            # lower_bound, and the AND at the root's sibling 2 meets it
             (((0, 1, 2), (2, 3, 5), (0, 4, 6), (1, 4, 6)), 2, "at-floor"),
+            # greedy takes the four decoys; below the root's first sibling,
+            # the half 0, the decoy 14 gives a set of three, and then the
+            # other half 19 misses no constraint
+            (_greedy_trap((0, 19), (14, 21, 22, 17)), 0, "nothing-left"),
         ],
-        ids=["not-lowest", "no-common", "at-floor"],
+        ids=["not-lowest", "no-common", "at-floor", "nothing-left"],
     )
     def test_one_and_exit_systems(
-        self, check, compiled, monkeypatch, sets, lower_bound, case, offset
+        self, check, compiled, monkeypatch, sets, lower_bound, case, top
     ):
-        """Systems whose search takes the exit at chosen + 2 == best, which
-        ANDs the remaining constraints instead of branching; offset 55 moves
-        them to the word's top bits. The pure search is watched node by node
-        to show the exit runs in the named case, and both backends return
-        the same mask at every floor."""
-        universe = offset + 7
+        """Systems whose search answers a node's siblings at
+        chosen + 3 >= best in the node, with one AND of the constraints
+        each sibling misses, instead of building a child; top moves them to
+        the word's top bits. The pure search is watched node by node: at
+        every node entered with best == chosen + 3, the test recomputes the
+        siblings it tries and the set it returns, and shows the named case
+        among them. Both backends return the same mask at every floor."""
+        universe = 1 + max(max(s) for s in sets)
+        offset = 62 - universe if top else 0
+        universe += offset
         masks = _masks(*[tuple(v + offset for v in s) for s in sets])
-        exits = []
+        tried = []
         original = _pure._least
 
         def watched(rem, allowed, picked, found, floor):
             result = original(rem, allowed, picked, found, floor)
-            if rem and floor < found.bit_count() == picked.bit_count() + 2:
-                common = allowed
-                for c in rem:
-                    common &= c
-                exits.append((rem, floor, common, result))
+            if rem and floor < found.bit_count() == picked.bit_count() + 3:
+                siblings, answer = _one_and_level(rem, allowed, picked, found, floor)
+                assert result == answer, (rem, allowed, picked, found, floor)
+                tried.extend((picked.bit_count(), floor) + s for s in siblings)
             return result
 
         with monkeypatch.context() as patch:
@@ -532,17 +593,23 @@ class TestHittingSetOracle:
             _pure.min_hitting_set(universe, masks, lower_bound)
         if case == "not-lowest":
             assert any(
-                common and common & -common != rem[0] & -rem[0] for rem, _, common, _ in exits
-            ), exits
+                missed
+                and common
+                and common & -common != (low := min(missed, key=int.bit_count)) & -low
+                for _, _, missed, common in tried
+            ), tried
         elif case == "no-common":
             assert any(
-                not common and all(c & d for c in rem for d in rem) for rem, _, common, _ in exits
-            ), exits
-        else:
+                missed and not common and all(c & d for c in missed for d in missed)
+                for _, _, missed, common in tried
+            ), tried
+        elif case == "at-floor":
             assert any(
-                common and floor == lower_bound == found.bit_count()
-                for _, floor, common, found in exits
-            ), exits
+                missed and common and chosen + 2 == floor == lower_bound
+                for chosen, floor, missed, common in tried
+            ), tried
+        else:
+            assert any(not missed for _, _, missed, _ in tried), tried
         check(universe, masks)
         size = naive_hitting_set(universe, masks)[0]
         for lb in sorted({0, 1, lower_bound, size}):
@@ -635,25 +702,27 @@ class TestPureSearch:
 
     @pytest.mark.parametrize(
         ("n", "p", "value", "ceiling"),
-        [(24, 0.9, 9, 1362), (28, 0.6, 5, 1494)],
+        [(24, 0.9, 9, 630), (28, 0.6, 5, 80)],
     )
     def test_node_count_ceiling(self, monkeypatch, n, p, value, ceiling):
         """The value search on two fixed dense local systems, from the
-        checked floors, visits at most the nodes it did when the search
-        was written. A weaker bound or a lost unit propagation shows here
-        as more nodes before it shows as more time."""
+        checked floors, visits at most the nodes it does now. A node is a
+        call of _least; the siblings a node answers itself with one AND, at
+        chosen + 3 >= best, are not nodes. A weaker bound or a lost unit
+        propagation shows here as more nodes before it shows as more time."""
         found, nodes = self._count_nodes(monkeypatch, n, p, lambda g: lower_bounds(g).best)
         assert found.bit_count() == value
         assert nodes <= ceiling
 
     @pytest.mark.parametrize(
         ("n", "p", "value", "ceiling"),
-        [(24, 0.9, 9, 1160), (28, 0.6, 5, 498)],
+        [(24, 0.9, 9, 630), (28, 0.6, 5, 80)],
     )
     def test_node_count_ceiling_without_floor(self, monkeypatch, n, p, value, ceiling):
         """The same two systems with no floor, as the solver runs them,
-        visit at most the nodes they do with the one-AND exit at
-        chosen + 2 == best. A lost exit shows here as more nodes before it
+        visit at most the nodes they do now. A node is a call of _least,
+        and the level a node answers in itself, with one AND per sibling,
+        builds none; a lost answer shows here as more nodes before it
         shows as more time."""
         found, nodes = self._count_nodes(monkeypatch, n, p, lambda g: 0)
         assert found.bit_count() == value

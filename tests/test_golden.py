@@ -3,21 +3,25 @@
 The digests pin the exact stdout of `verify` in both formats (the human
 table with its `elapsed:` figure masked), `dim` in both modes and `scan`,
 so refactors of the solver, the checks or the input parsing must keep
-every byte (ids, floors, witnesses, verdicts) the same. The module's tests
-run on the pure kernels; TestCompiledKernels runs each of them again on the
-compiled build. Both patch the five names of locdim.kernels and start from
+every byte (ids, floors, witnesses, verdicts) the same. One more digest
+pins the sets the hitting-set kernel returns, not only their sizes. The
+module's tests run on the pure kernels; TestCompiledKernels runs each of
+them again on the compiled build. Both patch the five names of locdim.kernels and start from
 an empty class memo, so generation runs on the backend under test too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 
 import pytest
+from conftest import random_connected
 
 from locdim import _pure, enumeration, kernels
 from locdim.cli import main
+from locdim.dimension import MODES, _distinguisher_masks
 from locdim.enumeration import connected_graphs
 from locdim.graphs import GRAPH6_HEADER, to_graph6
 
@@ -91,6 +95,37 @@ def test_scan_gen_seven(capsys):
     )
 
 
+def test_min_hitting_set_masks():
+    """The set min_hitting_set returns, not only its size, at every floor
+    from 0 to the value: on both systems of nine fixed G(n, p) graphs, n 20,
+    24 and 28 and p 0.3, 0.6 and 0.9, and on 2000 seeded random systems,
+    some of them on the word's top bits. A search change that keeps every
+    value may still return another optimum, which the witness rebuild then
+    pays for in probes."""
+    systems = []
+    for n in (20, 24, 28):
+        for p in (0.3, 0.6, 0.9):
+            g = random_connected(random.Random(0), n, p)
+            systems += [(n, _distinguisher_masks(g, mode)) for mode in MODES]
+    rng = random.Random(0x6A5)
+    for _ in range(2000):
+        universe = rng.randint(1, 24)
+        offset = rng.choice((0, 62 - universe))
+        masks = []
+        for _ in range(rng.randint(1, 30)):
+            c = rng.getrandbits(universe) & rng.getrandbits(universe)
+            masks.append((c or 1 << rng.randrange(universe)) << offset)
+        systems.append((offset + universe, masks))
+    digest = hashlib.sha256()
+    for universe, masks in systems:
+        value = kernels.min_hitting_set(universe, masks).bit_count()
+        for floor in range(value + 1):
+            digest.update(b"%x\n" % kernels.min_hitting_set(universe, masks, floor))
+    assert digest.hexdigest() == (
+        "69e644e77c4f601750beef60e4bf1df63e40bd44360f3fe5a8a450dc57d60a91"
+    )
+
+
 class TestCompiledKernels:
     """Every digest above, on the compiled build."""
 
@@ -102,3 +137,4 @@ class TestCompiledKernels:
     test_verify_text_gen_seven = staticmethod(test_verify_text_gen_seven)
     test_dim_witness_order_seven = staticmethod(test_dim_witness_order_seven)
     test_scan_gen_seven = staticmethod(test_scan_gen_seven)
+    test_min_hitting_set_masks = staticmethod(test_min_hitting_set_masks)

@@ -403,6 +403,15 @@ class TestScan:
         report = scan_clique_ratio([gamma1(), gamma2()], omega_values=[5])
         assert report.applicable == 0
 
+    @pytest.mark.parametrize("omega", [-3, 0, 1, 2])
+    def test_omega_below_three_is_rejected_before_any_graph(self, omega):
+        def graphs():
+            raise AssertionError("a graph was read")
+            yield
+
+        with pytest.raises(ValueError, match=f"need omega >= 3, got {omega}"):
+            scan_clique_ratio(graphs(), omega_values=[5, omega, 3])
+
     def test_solves_only_graphs_past_the_gate(self, monkeypatch):
         solved = []
         kernel = locdim.kernels.min_hitting_set
