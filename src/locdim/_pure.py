@@ -316,8 +316,8 @@ def _least_string(n: int, adj: Sequence[int], own: int) -> int:
     completion of that partial labeling is smaller than own. It then
     returns that prefix padded with zeros, a value below own; when no
     prefix falls below, it returns own. An own with a 1 in columns
-    0..alpha-1 gets 0 at once, a value below it. See canonical_bits for the
-    search.
+    0..alpha-1 ends the search at the first prefix, which is below 2^alpha
+    where own's is not. See canonical_bits for the search.
     """
     if n <= 1:
         return 0
@@ -331,9 +331,6 @@ def _least_string(n: int, adj: Sequence[int], own: int) -> int:
         # no edges: every labeling gives 0
         return 0
     target = own >= 0
-    if target and own >> shifts[alpha - 1]:
-        # own has a 1 in columns 0..alpha-1, where the least string has none
-        return 0
     order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
     best = own
 
@@ -509,7 +506,7 @@ def is_canonical(n: int, adj: Sequence[int], own: int) -> bool:
     early exit: the search stops at the first partial labeling whose prefix
     is below own's and never enters a branch whose prefix is above it. An
     own with a 1 in columns 0..alpha-1 is above the least string, whose
-    columns there are all zero, and is answered before any search."""
+    columns there are all zero, and fails at the search's first prefix."""
     if n > 11:
         raise ValueError(f"is_canonical supports n <= 11, got {n}")
     return _least_string(n, adj, own) == own

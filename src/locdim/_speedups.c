@@ -570,7 +570,7 @@ defer_rec(struct labeling *s, int t, uint64_t prefix,
    maximal independent set. The set's inner order stays open in cells until
    the vertices placed after it fix it (defer_rec), then the plain DFS
    (least_string_rec) takes over. A target with a 1 in columns 0..alpha-1
-   is above the least string and gets 0 at once. */
+   fails at the first prefix, which is below 2^alpha where own's is not. */
 static uint64_t
 least_string(int n, const uint64_t *adj, int target, uint64_t own)
 {
@@ -597,8 +597,6 @@ least_string(int n, const uint64_t *adj, int target, uint64_t own)
     blocks_expand(&b, 0, 0, low, 0);
     int alpha = b.largest;
     if (alpha == n)  /* no edges: every labeling gives 0 */
-        return 0;
-    if (target && own >> s.shifts[alpha - 1])
         return 0;
     for (int i = 0; i < n; i++) {
         int v = i, j = i;

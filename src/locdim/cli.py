@@ -87,18 +87,22 @@ def _graph_from_any(text: str) -> Graph:
             ) from spec_exc
 
 
+def _read_graph6(path: str, strict: bool) -> tuple[Graph, ...]:
+    """The graphs of a graph6 file, or of stdin for "-"; each malformed
+    line is a warning, or with strict the error that stops the run."""
+    corpus = parse_corpus(sys.stdin.read(), strict) if path == "-" else read_corpus(path, strict)
+    for err in corpus.errors:
+        print(f"warning: {path}: {err}", file=sys.stderr)
+    return corpus.graphs
+
+
 def _input_graphs(args) -> list[tuple[str, Graph]]:
     """(name, graph) pairs: the family spec, or each graph's graph6 text,
     which is unique per labeled graph and so equals its input line minus
     any header prefix."""
     if args.family is not None:
         return [(args.family, from_spec(args.family))]
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input) as fh:
-            text = fh.read()
-    return [(to_graph6(g), g) for g in parse_corpus(text, strict=True).graphs]
+    return [(to_graph6(g), g) for g in _read_graph6(args.input, strict=True)]
 
 
 def _suite_source(args) -> Iterable[Graph]:
@@ -106,10 +110,7 @@ def _suite_source(args) -> Iterable[Graph]:
     checks each graph as it is drawn."""
     if args.gen is not None:
         return connected_graphs(args.gen)
-    corpus = read_corpus(args.corpus, strict=args.strict)
-    for err in corpus.errors:
-        print(f"warning: {args.corpus}: {err}", file=sys.stderr)
-    return corpus.graphs
+    return _read_graph6(args.corpus, args.strict)
 
 
 def _cmd_dim(args) -> int:

@@ -37,8 +37,8 @@ partial labelings but stops at the first one whose string prefix is below
 own's prefix of the same length. That already proves the child is not
 canonical: the prefix is fixed by the vertices placed so far, so every
 completion of that partial labeling is a whole string below own. A child
-whose first alpha vertices are not independent is rejected before any
-search.
+whose first alpha vertices are not independent is rejected at the first
+prefix read, which is below 2^alpha where its own string's is not.
 """
 
 from __future__ import annotations
@@ -224,4 +224,5 @@ def parse_corpus(text: str, strict: bool = False) -> Corpus:
 
 def read_corpus(path: str | Path, strict: bool = False) -> Corpus:
     """parse_corpus over the text of a graph6 file."""
-    return parse_corpus(Path(path).read_text(), strict)
+    with open(path) as fh:
+        return parse_corpus(fh.read(), strict)

@@ -36,15 +36,16 @@ def bit_indices(mask: int) -> Iterator[int]:
 class Graph:
     """Undirected simple graph; adj[v] is the open-neighborhood bitmask.
 
-    Immutable: both fields are checked once, here, and assignment is
-    refused. Equality and hashing go by (n, adj). A pickle holds the class
-    and the instance dict, so unpickling (in a pool worker, say) restores
-    the fields without running __init__ or the checks again.
+    Immutable: both fields are checked once, here, adj is stored as a
+    tuple, and assignment is refused. Equality and hashing go by (n, adj).
+    A pickle holds the class and the instance dict, so unpickling (in a
+    pool worker, say) restores the fields without running __init__ again.
     """
 
-    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+    def __init__(self, n: int, adj: Sequence[int]) -> None:
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        adj = tuple(adj)
         if len(adj) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
         # past the refusing __setattr__; writing self.__dict__ instead would
@@ -137,7 +138,7 @@ class Graph:
             for u in bit_indices(self.adj[v]):
                 row |= 1 << perm[u]
             rows[perm[v]] = row
-        return Graph(self.n, tuple(rows))
+        return Graph(self.n, rows)
 
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> Graph:
         """A copy with additional edges (duplicates collapse)."""
@@ -176,7 +177,7 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph(n, rows)
 
 
 # ------------------------------------------------------------------ graph6
@@ -229,7 +230,7 @@ def graph_from_triangle_bits(n: int, bits: int) -> Graph:
     """Inverse of triangle_bits."""
     if bits >> (n * (n - 1) // 2):
         raise ValueError(f"triangle bits out of range for n={n}")
-    return Graph(n, tuple(_triangle_rows(n, bits)))
+    return Graph(n, _triangle_rows(n, bits))
 
 
 def _triangle_graph6(n: int, bits: int) -> str:

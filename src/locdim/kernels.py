@@ -1,31 +1,24 @@
 """Kernel backend selection.
 
 Imports the compiled extension when it is built, the pure-Python
-implementations otherwise. Set LOCDIM_NO_SPEEDUPS=1 to force the pure
-backend (useful for benchmarking and for debugging kernel disagreements).
-Both backends export the same five kernels with identical outputs:
-max_clique -> clique number, min_hitting_set -> a minimum hitting set as
-a mask (its popcount is the size), canonical_bits -> canonical triangle
-bits, is_canonical -> bool, and induced_embedding -> mapping tuple or None.
+implementations otherwise; a checkout or install without the build runs
+the pure kernels. Both backends export the same five kernels with
+identical outputs: max_clique -> clique number, min_hitting_set -> a
+minimum hitting set as a mask (its popcount is the size), canonical_bits
+-> canonical triangle bits, is_canonical -> bool, and induced_embedding
+-> mapping tuple or None.
 """
 
 from __future__ import annotations
 
-import os
+try:
+    from . import _speedups as _impl
 
-if os.environ.get("LOCDIM_NO_SPEEDUPS"):
-    from . import _pure as _impl
+    BACKEND = "compiled"
+except ImportError:
+    from . import _pure as _impl  # type: ignore[no-redef]
 
     BACKEND = "pure"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _pure as _impl  # type: ignore[no-redef]
-
-        BACKEND = "pure"
 
 max_clique = _impl.max_clique
 min_hitting_set = _impl.min_hitting_set

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .dimension import _value, lower_bounds
 from .enumeration import CANONICAL_MAX_VERTICES, canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
-from .graphs import Graph, bit_indices, is_bipartite, to_graph6
+from .graphs import MAX_VERTICES, Graph, bit_indices, is_bipartite, to_graph6
 from .pattern import is_gamma_free
 
 
@@ -234,7 +234,7 @@ CHECK_IDS: tuple[str, ...] = tuple(CHECKS)
 
 
 def normalize_checks(checks: Iterable[str] | None) -> tuple[str, ...]:
-    """Validate a check id selection, keeping registry order."""
+    """Validate a non-empty check id selection (None: every check), in registry order."""
     if checks is None:
         return CHECK_IDS
     requested = set()
@@ -242,6 +242,8 @@ def normalize_checks(checks: Iterable[str] | None) -> tuple[str, ...]:
         if cid not in CHECKS:
             raise ValueError(f"unknown check id {cid!r}; known: {', '.join(CHECK_IDS)}")
         requested.add(cid)
+    if not requested:
+        raise ValueError("no check ids given")
     return tuple(cid for cid in CHECK_IDS if cid in requested)
 
 
@@ -421,9 +423,11 @@ class FamilyTableReport(NamedTuple):
 def family_split_table(max_n: int = 10) -> FamilyTableReport:
     """Exact local dimension of every clique-minus-biclique member up to
     max_n vertices against the closed form: n-2 when the small block is a
-    single vertex, n-3 otherwise."""
+    single vertex, n-3 otherwise. Needs 3 <= max_n <= 62."""
     if max_n < 3:
         raise ValueError(f"need max_n >= 3, got {max_n}")
+    if max_n > MAX_VERTICES:
+        raise ValueError(f"need max_n <= {MAX_VERTICES}, got {max_n}")
     rows = []
     for n in range(3, max_n + 1):
         for mu in range(1, n):
@@ -477,9 +481,11 @@ def problem1_refutation(max_triangles: int = 4) -> RefutationReport:
     """Probe the apex-over-triangles family against the candidate ceiling
     dim_local <= ceil((n+1)/2). The family is planar and its local dimension
     grows like 2n/3, so the ceiling must fail once the family is large
-    enough."""
+    enough. Needs 2 <= max_triangles <= 20: apex(20) has 61 vertices."""
     if max_triangles < 2:
         raise ValueError(f"need max_triangles >= 2, got {max_triangles}")
+    if 3 * max_triangles + 1 > MAX_VERTICES:
+        raise ValueError(f"need max_triangles <= {(MAX_VERTICES - 1) // 3}, got {max_triangles}")
     rows = []
     for count in range(2, max_triangles + 1):
         g = apex_triangles(count)

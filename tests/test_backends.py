@@ -8,7 +8,6 @@ one conftest builds from src/locdim/_speedups.c for this session.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 import subprocess
 import sys
@@ -35,10 +34,10 @@ def _random_adj(rng: random.Random, n: int, p: float) -> list[int]:
     return rows
 
 
-def _backend_with(compiled, env: dict[str, str]) -> str:
-    """locdim.kernels.BACKEND, and whether its is_canonical is the compiled
-    one, in a fresh interpreter where the compiled build is importable as
-    locdim._speedups."""
+def test_backend_reports_compiled(compiled):
+    """In a fresh interpreter where the compiled build is importable as
+    locdim._speedups, locdim.kernels uses it: BACKEND reads "compiled" and
+    is_canonical is the compiled one."""
     code = (
         "import importlib.util, sys\n"
         f"spec = importlib.util.spec_from_file_location('locdim._speedups', {compiled.__file__!r})\n"
@@ -48,21 +47,9 @@ def _backend_with(compiled, env: dict[str, str]) -> str:
         "print(k.BACKEND, k.is_canonical is sys.modules['locdim._speedups'].is_canonical)\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, **env),
-        capture_output=True,
-        text=True,
-        check=True,
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    return out.stdout.strip()
-
-
-def test_backend_reports_compiled(compiled):
-    assert _backend_with(compiled, {"LOCDIM_NO_SPEEDUPS": ""}) == "compiled True"
-
-
-def test_env_override_forces_pure_backend(compiled):
-    assert _backend_with(compiled, {"LOCDIM_NO_SPEEDUPS": "1"}) == "pure False"
+    assert out.stdout.strip() == "compiled True"
 
 
 BAD_INPUTS = {

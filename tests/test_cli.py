@@ -234,6 +234,20 @@ class TestVerify:
         assert "warning:" in err and "line 2" in err
         assert "graphs: 2" in out
 
+    def test_corpus_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("Dhc\nnope~\nD~{\n"))
+        code, out, err = run_cli(capsys, "verify", "--corpus", "-")
+        assert code == 0
+        assert err.startswith("warning: -: line 2: ") and err.count("\n") == 1
+        assert "graphs: 2" in out
+
+    @pytest.mark.parametrize("argv", [["dim", "--input"], ["verify", "--corpus"], ["scan", "--corpus"]])
+    def test_empty_path_is_a_missing_file(self, capsys, argv):
+        # not the current directory, which Path("") would name
+        code, out, err = run_cli(capsys, *argv, "")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+
     def test_strict_corpus(self, capsys, tmp_path):
         target = tmp_path / "mixed.g6"
         target.write_text("Dhc\nnope~\n")
@@ -257,6 +271,12 @@ class TestScanAndRefute:
         assert code == 0
         assert "scanned: 1" in out
 
+    def test_scan_corpus_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("Dhc\nD~{\n"))
+        code, out, _ = run_cli(capsys, "scan", "--corpus", "-")
+        assert code == 0
+        assert "scanned: 2" in out
+
     @pytest.mark.parametrize("omega", ["-3", "0", "2"])
     def test_scan_rejects_omega_below_three(self, capsys, omega):
         code, out, err = run_cli(capsys, "scan", "--gen", "5", "--omega", "4", "--omega", omega)
@@ -273,6 +293,15 @@ class TestScanAndRefute:
         code, out, _ = run_cli(capsys, "refute-problem1", "--max-triangles", "2")
         assert code == 3
         assert "no violation found" in out
+
+    def test_refutation_past_62_vertices_fails_before_any_solve(self, capsys, monkeypatch):
+        def unsolved(g, mode):
+            raise AssertionError("a member was solved")
+
+        monkeypatch.setattr(verify_mod, "_value", unsolved)
+        code, out, err = run_cli(capsys, "refute-problem1", "--max-triangles", "21")
+        assert (code, out) == (2, "")
+        assert err == "error: need max_triangles <= 20, got 21\n"
 
     def test_refutation_bad_domain(self, capsys):
         code, _, err = run_cli(capsys, "refute-problem1", "--max-triangles", "1")
@@ -297,6 +326,8 @@ class TestUsageErrors:
             ["verify", "--gen", "5", "--jobs", "x"],
             ["scan", "--gen", "5", "--omega", "x"],
             ["refute-problem1", "--max-triangles", "x"],
+            ["verify", "--gen", "4", "--checks", ","],
+            ["verify", "--gen", "4", "--checks", ""],
         ],
     )
     def test_exit_one(self, capsys, argv):

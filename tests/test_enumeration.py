@@ -97,7 +97,8 @@ class TestCanonical:
 
 class TestCanonicalOracle:
     """The pure kernel against the n! oracle, which shares none of its
-    pruning: twin classes, degree order and the prefix cut."""
+    pruning: the independent-set blocks, twin classes, degree order and
+    the prefix cut."""
 
     def test_every_labeled_graph_up_to_order_five(self):
         assert _pure.canonical_bits(0, []) == naive_canonical_bits(0, []) == 0

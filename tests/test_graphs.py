@@ -193,6 +193,14 @@ class TestValueSemantics:
         assert g != (3, (2, 5, 2))
         assert len({g, h, build(3, [(0, 2), (1, 2)])}) == 2
 
+    def test_list_rows_are_kept_as_a_tuple(self):
+        rows = [2, 5, 2]
+        g = Graph(3, rows)
+        assert g.adj == (2, 5, 2) and type(g.adj) is tuple
+        assert g == Graph(3, (2, 5, 2)) and hash(g) == hash(Graph(3, (2, 5, 2)))
+        rows[0] = 0
+        assert g.adj == (2, 5, 2)
+
     def test_repr(self):
         assert repr(build(3, [(0, 1), (1, 2)])) == "Graph(n=3, adj=(2, 5, 2))"
 

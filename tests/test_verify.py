@@ -191,6 +191,19 @@ class TestNormalize:
         with pytest.raises(ValueError, match="unknown check id"):
             normalize_checks(["C1", "C99"])
 
+    @pytest.mark.parametrize("empty", [[], (), iter([])])
+    def test_empty_selection_is_an_error(self, empty):
+        with pytest.raises(ValueError, match="no check ids given"):
+            normalize_checks(empty)
+
+    def test_suite_rejects_an_empty_selection_before_any_graph(self):
+        def graphs():
+            raise AssertionError("a graph was read")
+            yield
+
+        with pytest.raises(ValueError, match="no check ids given"):
+            run_suite(graphs(), checks=[])
+
 
 class TestSuite:
     def test_gen5_is_clean(self):
@@ -369,6 +382,14 @@ class TestFamilyTable:
         with pytest.raises(ValueError):
             family_split_table(2)
 
+    def test_too_large_is_rejected_before_any_solve(self, monkeypatch):
+        def unsolved(g, mode):
+            raise AssertionError("a member was solved")
+
+        monkeypatch.setattr(verify_mod, "_value", unsolved)
+        with pytest.raises(ValueError, match="need max_n <= 62, got 63"):
+            family_split_table(63)
+
 
 class TestRefutation:
     def test_first_violation_at_four_triangles(self):
@@ -390,6 +411,15 @@ class TestRefutation:
     def test_domain(self):
         with pytest.raises(ValueError):
             problem1_refutation(1)
+
+    def test_too_large_is_rejected_before_any_solve(self, monkeypatch):
+        # apex(20) has 61 vertices, apex(21) would need 64
+        def unsolved(g, mode):
+            raise AssertionError("a member was solved")
+
+        monkeypatch.setattr(verify_mod, "_value", unsolved)
+        with pytest.raises(ValueError, match="need max_triangles <= 20, got 21"):
+            problem1_refutation(21)
 
 
 class TestScan:
