@@ -1,11 +1,13 @@
 """Pure-Python search kernels.
 
-Reference implementations of the five kernels the package runs hot:
+Reference implementations of the six kernels the package runs hot:
 max_clique returns the clique number; min_hitting_set a minimum hitting
-set, as a mask; canonical_bits the least upper-triangle bit string over all
-relabelings; is_canonical whether given bits are that string, with an
-early exit for orderly generation; induced_embedding the first induced
-copy of a pattern, or None. The two labeling kernels share one search.
+set, as a mask; lex_min_hitting_set the lexicographically smallest one,
+rebuilt from any minimum one; canonical_bits the least upper-triangle bit
+string over all relabelings; is_canonical whether given bits are that
+string, with an early exit for orderly generation; induced_embedding the
+first induced copy of a pattern, or None. The two hitting-set kernels share
+one branch-and-bound, and the two labeling kernels share one search.
 The least string opens with alpha zero columns (alpha the independence
 number), so the search branches on which maximum independent set fills
 those positions, one set per true-twin swap, and leaves the set's inner
@@ -24,6 +26,7 @@ from .graphs import twin_masks
 __all__ = [
     "max_clique",
     "min_hitting_set",
+    "lex_min_hitting_set",
     "canonical_bits",
     "is_canonical",
     "induced_embedding",
@@ -144,6 +147,22 @@ def _least(rem: list[int], allowed: int, picked: int, found: int, floor: int) ->
             return found
 
 
+def _system(universe: int, constraints: Sequence[int]) -> list[int]:
+    """The distinct constraints in ascending order, after the range checks
+    both hitting-set kernels share."""
+    if not 0 <= universe <= 62:
+        raise ValueError(f"universe size must be in 0..62, got {universe}")
+    uniq = sorted({int(c) for c in constraints})
+    if uniq:
+        if uniq[0] < 0 or uniq[-1] >> 64:
+            raise ValueError("masks must be ints in 0..2**64-1")
+        if uniq[0] == 0:
+            raise ValueError("unsatisfiable constraint system: empty constraint")
+        if uniq[-1] >> universe:
+            raise ValueError("constraint mentions an element outside the universe")
+    return uniq
+
+
 def min_hitting_set(
     universe: int, constraints: Sequence[int], lower_bound: int = 0
 ) -> int:
@@ -152,10 +171,11 @@ def min_hitting_set(
 
     Ground elements are bits 0..universe-1. `lower_bound` must be a valid
     bound for the instance; the search stops as soon as it is met, and
-    returns the first hitting set found of at most that size. Its one user
-    is the witness rebuild, which passes a probe's budget; the value
-    searches pass none, so no reported floor is taken on trust. The mask
-    lies within the union of the constraints, and is 0 when there are none.
+    returns the first hitting set found of at most that size. No solve
+    passes one, so no reported floor is taken on trust; tests pin the
+    results at every floor, since lex_min_hitting_set's probes stop the
+    same search at their budgets. The mask lies within the union of the
+    constraints, and is 0 when there are none.
 
     Only the inclusion-minimal constraints matter, since hitting a subset
     hits every superset. They are found by one pass in (size, value) order
@@ -208,17 +228,9 @@ def min_hitting_set(
     the packing bound, which is at least 1 on a non-empty system. It
     returns the greedy cover itself when no smaller hitting set is found.
     """
-    if not 0 <= universe <= 62:
-        raise ValueError(f"universe size must be in 0..62, got {universe}")
-    uniq = sorted({int(c) for c in constraints})
+    uniq = _system(universe, constraints)
     if not uniq:
         return 0
-    if uniq[0] < 0:
-        raise ValueError("constraints must be non-negative bitmasks")
-    if uniq[0] == 0:
-        raise ValueError("unsatisfiable constraint system: empty constraint")
-    if uniq[-1] >> universe:
-        raise ValueError("constraint mentions an element outside the universe")
     support = 0
     for c in uniq:
         support |= c
@@ -253,6 +265,82 @@ def min_hitting_set(
         alive &= ~contain[pick]
         picks |= 1 << pick
     return _least(cons, support, 0, picks, floor)
+
+
+def _probe(restricted: set[int], allowed: int, budget: int) -> int:
+    """A hitting set of the non-empty system restricted, within allowed,
+    with at most budget >= 1 elements; 0 when there is none.
+
+    Budget 1 is one AND of the constraints, whose lowest element is taken:
+    _least would return at once, since its root relies on a greedy cover to
+    rule out a single hitter. A larger budget runs _least on the system in
+    (size, value) order, from a stand-in of budget + 1 elements, so the
+    search keeps a set only when it is within the budget and stops at the
+    first such set.
+    """
+    if budget == 1:
+        common = allowed
+        for c in restricted:
+            common &= c
+            if not common:
+                return 0
+        return common & -common
+    cons = sorted(sorted(restricted), key=int.bit_count)
+    found = _least(cons, allowed, 0, (2 << budget) - 1, budget)
+    return found if found.bit_count() <= budget else 0
+
+
+def lex_min_hitting_set(universe: int, constraints: Sequence[int], found: int) -> int:
+    """The lexicographically smallest minimum hitting set of the
+    constraints, as a mask, given `found`, some minimum hitting set of them.
+    Elements and checks are those of min_hitting_set; a found with an
+    element outside the universe, or one that misses a constraint, raises
+    ValueError.
+
+    One ascending scan over the elements builds it. It keeps H, an optimum
+    that contains the elements taken so far and has all its other elements
+    after the candidate; `found` is the first H. Candidate v is taken when
+    the constraints it leaves unhit, restricted to the elements after v,
+    have a hitting set within the budget B, which starts at size - 1 and
+    falls by one on each take:
+
+    - When v is in H, H proves this without a search. H holds no untaken
+      element below v, since the scan would have taken it. So H minus the
+      taken elements and v lies after v, has exactly B elements and hits
+      every constraint v misses: the probe below would accept v too.
+    - An empty restricted system accepts v, and a spent budget with
+      constraints left rejects it, without a search.
+    - Otherwise v is probed (_probe): a search of the restricted system for
+      a hitting set within B. When one is found, the taken elements, v and
+      it form the next H.
+
+    No restricted constraint is empty: while v is probed, H extends the
+    taken elements with elements from v on, so each constraint v leaves
+    unhit keeps an element after v.
+    """
+    rem = _system(universe, constraints)
+    if found < 0 or found >> universe:
+        raise ValueError("found must be a mask within the universe")
+    if not all(c & found for c in rem):
+        raise ValueError("found must hit every constraint")
+    budget = found.bit_count() - 1
+    witness = 0
+    for v in range(universe):
+        if not rem:
+            break
+        above = (1 << universe) - (2 << v)  # the elements after v
+        restricted = {c & above for c in rem if not c >> v & 1}
+        if not found >> v & 1 and restricted:
+            if budget <= 0:
+                continue
+            rest = _probe(restricted, above, budget)
+            if not rest:
+                continue
+            found = witness | 1 << v | rest
+        witness |= 1 << v
+        budget -= 1
+        rem = restricted
+    return witness
 
 
 def _blocks(n: int, adj: Sequence[int], twins: Sequence[int]) -> list[int]:

@@ -1,12 +1,13 @@
 /* Compiled search kernels: C ports of locdim._pure.
 
-   The same five kernels on uint64_t masks, each the same algorithm as its
+   The same six kernels on uint64_t masks, each the same algorithm as its
    _pure twin and returning the same values: max_clique the clique number,
-   min_hitting_set a minimum hitting set as a mask, canonical_bits the least
-   upper-triangle bit string, is_canonical whether given bits are that
-   string, and induced_embedding the first induced copy or None. The
-   docstrings in _pure.py describe the searches; the comments here cover
-   what the port changes. One step differs in method: _pure finds the
+   min_hitting_set a minimum hitting set as a mask, lex_min_hitting_set the
+   lexicographically smallest one, canonical_bits the least upper-triangle
+   bit string, is_canonical whether given bits are that string, and
+   induced_embedding the first induced copy or None. The docstrings in
+   _pure.py describe the searches; the comments here cover what the port
+   changes. One step differs in method: _pure finds the
    inclusion-minimal constraints with a containment index, and this file
    with a pairwise subset scan. Both keep the same constraints in the same
    (size, value) order, so the searches that follow are identical. Vertex
@@ -245,13 +246,6 @@ hs_search(struct hitting *h, int chosen, uint64_t picked, uint64_t *rem,
     }
 }
 
-static int
-compare_masks(const void *a, const void *b)
-{
-    uint64_t x = *(const uint64_t *)a, y = *(const uint64_t *)b;
-    return (x > y) - (x < y);
-}
-
 /* Greedy most-hits-first cover of cons[0..k), ties to the smaller element;
    work has room for k masks. Returns its picks, the first upper bound. */
 static uint64_t
@@ -298,70 +292,202 @@ hs_solve(const uint64_t *cons, int k, int lower_bound, uint64_t *scratch)
     return PyLong_FromUnsignedLongLong(h.best_set);
 }
 
+static int
+compare_masks(const void *a, const void *b)
+{
+    uint64_t x = *(const uint64_t *)a, y = *(const uint64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Sorts cons[0..k) by value and drops duplicates; returns the distinct
+   count. */
+static int
+sort_distinct(uint64_t *cons, int k)
+{
+    if (k == 0)
+        return 0;
+    qsort(cons, (size_t)k, sizeof *cons, compare_masks);
+    int kept = 1;
+    for (int i = 1; i < k; i++)
+        if (cons[i] != cons[kept - 1])
+            cons[kept++] = cons[i];
+    return kept;
+}
+
+/* The constraints of both hitting-set kernels, range-checked as _pure._system
+   does: a new array with room for `room` masks per constraint plus one, its
+   first entries the distinct constraints in ascending order. Returns their
+   count, with *out the array (PyMem_Free it), or -1 with an exception set
+   and nothing to free. */
+static int
+read_system(int universe, PyObject *seq, int room, uint64_t **out)
+{
+    if (universe < 0 || universe > 62) {
+        PyErr_Format(PyExc_ValueError, "universe size must be in 0..62, got %d",
+                     universe);
+        return -1;
+    }
+    PyObject *fast = PySequence_Fast(seq, "constraints must be iterable");
+    if (fast == NULL)
+        return -1;
+    Py_ssize_t total = PySequence_Fast_GET_SIZE(fast);
+    if (total > INT_MAX / MASK_CAP) {
+        Py_DECREF(fast);
+        PyErr_Format(PyExc_ValueError, "too many constraints: %zd", total);
+        return -1;
+    }
+    uint64_t *cons = PyMem_Malloc((size_t)(room * total + 1) * sizeof *cons);
+    if (cons == NULL) {
+        Py_DECREF(fast);
+        PyErr_NoMemory();
+        return -1;
+    }
+    int k = (int)read_masks(fast, -1, cons, total);
+    Py_DECREF(fast);
+    if (k < 0)
+        goto fail;
+    k = sort_distinct(cons, k);
+    if (k && cons[0] == 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "unsatisfiable constraint system: empty constraint");
+        goto fail;
+    }
+    if (k && cons[k - 1] >> universe) {
+        PyErr_SetString(PyExc_ValueError,
+                        "constraint mentions an element outside the universe");
+        goto fail;
+    }
+    *out = cons;
+    return k;
+fail:
+    PyMem_Free(cons);
+    return -1;
+}
+
 static PyObject *
 min_hitting_set(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *names[] = {"universe", "constraints", "lower_bound", NULL};
     int universe, lower_bound = 0;
-    PyObject *seq, *result = NULL;
+    PyObject *seq;
+    uint64_t *cons;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO|i:min_hitting_set",
                                      names, &universe, &seq, &lower_bound))
         return NULL;
-    if (universe < 0 || universe > 62)
-        return PyErr_Format(PyExc_ValueError,
-                            "universe size must be in 0..62, got %d",
-                            universe);
-    PyObject *fast = PySequence_Fast(seq, "constraints must be iterable");
-    if (fast == NULL)
-        return NULL;
-    Py_ssize_t total = PySequence_Fast_GET_SIZE(fast);
-    if (total > INT_MAX / MASK_CAP) {
-        Py_DECREF(fast);
-        return PyErr_Format(PyExc_ValueError, "too many constraints: %zd",
-                            total);
-    }
     /* the constraints, then scratch room for as many */
-    uint64_t *cons = PyMem_Malloc((size_t)(2 * total + 1) * sizeof *cons);
-    if (cons == NULL) {
-        Py_DECREF(fast);
-        return PyErr_NoMemory();
-    }
-    if (read_masks(fast, -1, cons, total) < 0)
-        goto done;
-    if (total == 0) {
+    int k = read_system(universe, seq, 2, &cons);
+    if (k < 0)
+        return NULL;
+    PyObject *result;
+    if (k == 0) {
         result = PyLong_FromLong(0);
-        goto done;
+    } else {
+        /* (size, value) order; keep a constraint when no kept one is a
+           subset */
+        sort_by_size(cons, k, cons + k);
+        int kept = 0;
+        for (int i = 0; i < k; i++) {
+            int j = 0;
+            while (j < kept && (cons[j] & ~cons[i]))
+                j++;
+            if (j == kept)
+                cons[kept++] = cons[i];
+        }
+        result = hs_solve(cons, kept, lower_bound, cons + k);
     }
-    qsort(cons, (size_t)total, sizeof *cons, compare_masks);
-    int k = 1;
-    for (Py_ssize_t i = 1; i < total; i++)
-        if (cons[i] != cons[k - 1])
-            cons[k++] = cons[i];
-    if (cons[0] == 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "unsatisfiable constraint system: empty constraint");
-        goto done;
-    }
-    if (cons[k - 1] >> universe) {
-        PyErr_SetString(PyExc_ValueError,
-                        "constraint mentions an element outside the universe");
-        goto done;
-    }
-    /* (size, value) order; keep a constraint when no kept one is a subset */
-    sort_by_size(cons, k, cons + total);
-    int kept = 0;
-    for (int i = 0; i < k; i++) {
-        int j = 0;
-        while (j < kept && (cons[j] & ~cons[i]))
-            j++;
-        if (j == kept)
-            cons[kept++] = cons[i];
-    }
-    result = hs_solve(cons, kept, lower_bound, cons + total);
-done:
-    Py_DECREF(fast);
     PyMem_Free(cons);
     return result;
+}
+
+/* _pure._probe on the k > 0 distinct constraints at sys: a hitting set
+   within allowed of at most budget >= 1 elements, or 0 when there is none.
+   sys has room for k masks per element of budget, plus k more: hs_search
+   builds no child at level budget - 1 or deeper, and sort_by_size's
+   scratch follows the arrays. The k constraints stay, in size order. */
+static uint64_t
+probe(uint64_t *sys, int k, uint64_t allowed, int budget)
+{
+    if (budget == 1) {
+        uint64_t common = allowed;
+        for (int i = 0; i < k && common; i++)
+            common &= sys[i];
+        return common & -common;
+    }
+    uint64_t *scratch = sys + (size_t)k * budget;
+    sort_by_size(sys, k, scratch);
+    /* best starts one above the budget with no set behind it, so the
+       search keeps a set only within the budget */
+    struct hitting h = {.floor = budget, .best = budget + 1, .best_set = 0,
+                        .scratch = scratch};
+    hs_search(&h, 0, 0, sys, k, allowed);
+    return h.best <= budget ? h.best_set : 0;
+}
+
+static PyObject *
+lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"universe", "constraints", "found", NULL};
+    int universe;
+    PyObject *seq, *found_obj;
+    uint64_t *rem, *sys = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOO:lex_min_hitting_set",
+                                     names, &universe, &seq, &found_obj))
+        return NULL;
+    int k = read_system(universe, seq, 1, &rem);
+    if (k < 0)
+        return NULL;
+    uint64_t found = PyLong_AsUnsignedLongLong(found_obj);
+    if (found == (uint64_t)-1 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
+            PyErr_Clear();
+            found = ~(uint64_t)0;
+        } else {
+            goto fail;
+        }
+    }
+    if (found >> universe) {
+        PyErr_SetString(PyExc_ValueError,
+                        "found must be a mask within the universe");
+        goto fail;
+    }
+    for (int i = 0; i < k; i++)
+        if (!(rem[i] & found)) {
+            PyErr_SetString(PyExc_ValueError, "found must hit every constraint");
+            goto fail;
+        }
+    /* the restricted system, and room for its probe at any budget below
+       found's size */
+    int budget = popcount(found) - 1;
+    sys = PyMem_Malloc(((size_t)k * (budget + 1) + 1) * sizeof *sys);
+    if (sys == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    uint64_t witness = 0;
+    for (int v = 0; v < universe && k; v++) {
+        uint64_t above = (BIT(universe) - 1) & ~(BIT(v + 1) - 1);
+        int nk = unhit(rem, k, v, above, sys);
+        if (!((found >> v) & 1) && nk) {
+            if (budget <= 0)
+                continue;
+            nk = sort_distinct(sys, nk);
+            uint64_t rest = probe(sys, nk, above, budget);
+            if (!rest)
+                continue;
+            found = witness | BIT(v) | rest;
+        }
+        witness |= BIT(v);
+        budget--;
+        k = nk;
+        memcpy(rem, sys, (size_t)k * sizeof *rem);
+    }
+    PyMem_Free(rem);
+    PyMem_Free(sys);
+    return PyLong_FromUnsignedLongLong(witness);
+fail:
+    PyMem_Free(rem);
+    PyMem_Free(sys);
+    return NULL;
 }
 
 /* ---------------------------------------------------- canonical labeling */
@@ -772,8 +898,11 @@ static PyMethodDef methods[] = {
            "min_hitting_set(universe, constraints, lower_bound=0)"
            " -> mask\n\n"
            "A minimum hitting set as a mask, its popcount the minimum size;\n"
-           "lower_bound must be valid for the instance: the witness\n"
-           "rebuild passes a probe's budget, value searches pass none."),
+           "lower_bound must be valid for the instance; solves pass none."),
+    KERNEL(lex_min_hitting_set,
+           "lex_min_hitting_set(universe, constraints, found) -> mask\n\n"
+           "The lexicographically smallest minimum hitting set, given\n"
+           "found, some minimum hitting set of the constraints."),
     KERNEL(canonical_bits,
            "canonical_bits(n, adj) -> int\n\n"
            "Minimum upper-triangle bit string over all relabelings, n <= 11."),

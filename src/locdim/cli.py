@@ -200,7 +200,7 @@ def _add_source_flags(sub) -> None:
                        help="stream every connected graph of order N"
                             f" (3..{CANONICAL_MAX_VERTICES})")
     group.add_argument("--corpus", metavar="PATH",
-                       help="graph6 file, one graph per line")
+                       help="graph6 file, one graph per line, or - for stdin")
     sub.add_argument("--strict", action="store_true",
                      help="fail on the first malformed corpus line")
 

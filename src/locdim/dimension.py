@@ -11,7 +11,7 @@ construction over all vertex pairs instead of edges.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from . import kernels
@@ -194,58 +194,6 @@ def _distinguisher_masks(g: Graph, mode: str) -> list[int]:
     return masks
 
 
-def _lex_witness(universe: int, masks: Sequence[int], found: int) -> int:
-    """The lexicographically smallest minimum hitting set of masks, as a
-    mask, given `found`, some minimum hitting set of them.
-
-    One ascending scan over the elements builds it. It keeps H, an optimum
-    that contains the elements taken so far and has all its other elements
-    after the candidate; `found` is the first H. Candidate v is taken when
-    the constraints it leaves unhit, restricted to the elements after v,
-    have a hitting set within the budget B, which starts at size - 1 and
-    falls by one on each take:
-
-    - When v is in H, H proves this without a kernel call. H holds no
-      untaken element below v, since the scan would have taken it. So H
-      minus the taken elements and v lies after v, has exactly B elements
-      and hits every constraint v misses: the probe below would accept v
-      too.
-    - Otherwise v is probed, by one kernel call with lower_bound B. B is a
-      valid floor there: the elements already taken, v and any hitting set
-      of the restricted system together hit every mask, so they number at
-      least `size`. The kernel's set lies within the restricted system,
-      after v, so when it has at most B elements, the taken ones, v and it
-      form the next H.
-
-    An empty system accepts v and a spent budget with constraints left
-    rejects it, without a call. No restricted constraint is empty: while v
-    is probed, H extends the taken elements with elements from v on, so
-    each constraint v leaves unhit keeps an element after v.
-    """
-    budget = found.bit_count() - 1
-    witness = 0
-    rem = masks
-    for v in range(universe):
-        if not rem:
-            break
-        above = -2 << v  # the elements after v
-        # restricting makes duplicates; the kernel would drop them too
-        restricted = list({c & above for c in rem if not c >> v & 1})
-        if not found >> v & 1 and restricted:
-            if budget <= 0:
-                continue
-            rest = kernels.min_hitting_set(universe, restricted, budget)
-            if rest.bit_count() > budget:
-                continue
-            found = witness | 1 << v | rest
-        witness |= 1 << v
-        budget -= 1
-        rem = restricted
-    if rem:
-        raise AssertionError("hitting-set witness reconstruction failed")
-    return witness
-
-
 def _value(g: Graph, mode: str) -> int:
     """The dimension in `mode` of a connected graph alone: one kernel call
     and no witness, for callers that read only the value."""
@@ -259,7 +207,7 @@ def _solve(g: Graph, mode: str) -> DimResult:
     bounds = lower_bounds(g)
     masks = _distinguisher_masks(g, mode)
     found = kernels.min_hitting_set(g.n, masks)
-    mask = _lex_witness(g.n, masks, found)
+    mask = kernels.lex_min_hitting_set(g.n, masks, found)
     for i, c in enumerate(masks):
         if not c & mask:
             pair = distinguisher_sets(g, mode=mode).constraints[i].pair

@@ -15,9 +15,8 @@ import sys
 import pytest
 from conftest import complete_multipartite, matching, petersen, random_connected, twin_rich_graphs
 
-import locdim.kernels
 from locdim import _pure
-from locdim.dimension import _lex_witness, distinguisher_sets, lower_bounds
+from locdim.dimension import distinguisher_sets, lower_bounds
 from locdim.families import complete, cycle, gamma1, gamma2
 from locdim.graphs import build, graph_from_triangle_bits, triangle_bits
 
@@ -60,16 +59,40 @@ BAD_INPUTS = {
     "is_canonical-n12": lambda k: k.is_canonical(12, [0] * 12, 0),
     "min_hitting_set-bit64": lambda k: k.min_hitting_set(62, [1 << 64], 0),
     "min_hitting_set-negative": lambda k: k.min_hitting_set(3, [-2, 1], 0),
+    "lex_min_hitting_set-universe63": lambda k: k.lex_min_hitting_set(63, [1], 1),
+    "lex_min_hitting_set-bit64": lambda k: k.lex_min_hitting_set(62, [1 << 64], 1),
+    "lex_min_hitting_set-negative": lambda k: k.lex_min_hitting_set(3, [-2, 1], 1),
+    "lex_min_hitting_set-empty": lambda k: k.lex_min_hitting_set(4, [0b0101, 0], 1),
+    "lex_min_hitting_set-outside": lambda k: k.lex_min_hitting_set(3, [0b1000], 0b1000),
+    "lex_min_hitting_set-found-outside": lambda k: k.lex_min_hitting_set(3, [1], 0b1001),
+    "lex_min_hitting_set-found-negative": lambda k: k.lex_min_hitting_set(3, [1], -1),
+    "lex_min_hitting_set-found-bit64": lambda k: k.lex_min_hitting_set(62, [1], 1 << 64 | 1),
+    "lex_min_hitting_set-found-misses": lambda k: k.lex_min_hitting_set(3, [0b01, 0b10], 0b01),
 }
 
 
 @pytest.mark.parametrize("call", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
 def test_out_of_range_input_rejected(impl, call):
-    """Inputs past a kernel's fixed word or array size. The hitting set's
-    universe 63, empty constraint and out-of-universe bit are in
-    test_dimension's TestHittingSetValidation, on both backends too."""
+    """Inputs past a kernel's fixed word or array size, and a found that
+    is not a hitting set within the universe. min_hitting_set's universe 63,
+    empty constraint and out-of-universe bit are in test_dimension's
+    TestHittingSetValidation, on both backends too."""
     with pytest.raises(ValueError):
         call(impl)
+
+
+def test_hitting_set_errors_match(compiled):
+    """Both backends reject every bad hitting-set input above with the same
+    message."""
+    for name, call in BAD_INPUTS.items():
+        if "hitting_set" not in name:
+            continue
+        messages = []
+        for kernel in (_pure, compiled):
+            with pytest.raises(ValueError) as caught:
+                call(kernel)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1], name
 
 
 def test_max_clique_agreement(compiled):
@@ -103,10 +126,9 @@ def _dense_systems() -> list[tuple[int, list[int], int]]:
     return systems
 
 
-def test_min_hitting_set_agreement(compiled, monkeypatch):
+def test_min_hitting_set_agreement(compiled):
     """The same hitting set from both backends, not only the same size, and
-    the same witness dimension._lex_witness rebuilds from each backend's
-    set and probes."""
+    the same witness lex_min_hitting_set rebuilds from it on each."""
     rng = random.Random(SEED + 1)
     cases = []
     for _ in range(300):
@@ -130,11 +152,8 @@ def test_min_hitting_set_agreement(compiled, monkeypatch):
     for universe, masks, lb in cases:
         found = _pure.min_hitting_set(universe, masks, lb)
         assert found == compiled.min_hitting_set(universe, masks, lb), (universe, masks, lb)
-        witnesses = []
-        for kernel in (_pure, compiled):
-            monkeypatch.setattr(locdim.kernels, "min_hitting_set", kernel.min_hitting_set)
-            witnesses.append(_lex_witness(universe, masks, found))
-        assert witnesses[0] == witnesses[1], (universe, masks)
+        witness = _pure.lex_min_hitting_set(universe, masks, found)
+        assert witness == compiled.lex_min_hitting_set(universe, masks, found), (universe, masks)
 
 
 def test_canonical_bits_agreement(compiled):

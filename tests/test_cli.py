@@ -370,6 +370,15 @@ class TestUsageErrors:
                 help_text = " ".join(capsys.readouterr().out.split())
                 assert f"order N (3..{top})" in help_text
 
+    @pytest.mark.parametrize("verb", ["verify", "scan"])
+    def test_corpus_help_names_stdin(self, capsys, verb):
+        # all three graph6 verbs read - as stdin, and say so
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "graph6 file, one graph per line, or - for stdin" in help_text
+
     def test_gen_reaches_order_eight(self):
         assert _gen_order("8") == 8
 

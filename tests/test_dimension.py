@@ -25,7 +25,6 @@ from locdim import _pure
 from locdim.dimension import (
     LowerBounds,
     _distinguisher_masks,
-    _lex_witness,
     _value,
     distinguisher_sets,
     is_local_resolving,
@@ -319,16 +318,17 @@ def _masks(*sets: tuple[int, ...]) -> list[int]:
 
 @pytest.fixture
 def kernel(impl, monkeypatch):
-    """Each backend in turn, also behind kernels.min_hitting_set, so the
-    witness rebuild's probes run on it."""
+    """Each backend in turn, also behind kernels.min_hitting_set and
+    kernels.lex_min_hitting_set, so solves run on it."""
     monkeypatch.setattr(locdim.kernels, "min_hitting_set", impl.min_hitting_set)
+    monkeypatch.setattr(locdim.kernels, "lex_min_hitting_set", impl.lex_min_hitting_set)
     return impl
 
 
 class TestWitnessProbes:
     """Systems where the greedy cover is already optimal but is not the
     lexicographically smallest optimum, so the witness comes from the
-    rebuild probes alone. Both backends, through the kernel fixture."""
+    rebuild's probes alone. Both backends, through the kernel fixture."""
 
     def test_greedy_optimal_but_not_lex_smallest(self, kernel):
         # greedy takes 1 (two hits, ties to the smaller element), then 2;
@@ -339,7 +339,7 @@ class TestWitnessProbes:
         assert naive_hitting_set(4, masks) == expected
         found = kernel.min_hitting_set(4, masks, 0)
         assert_hitting_set(4, masks, found, expected[0])
-        assert _lex_witness(4, masks, found) == expected[1]
+        assert kernel.lex_min_hitting_set(4, masks, found) == expected[1]
 
     def test_lower_bound_at_the_value_skips_the_value_search(self, kernel):
         # greedy takes {3, 4, 5}, which meets lower_bound 3 (the packing
@@ -350,34 +350,51 @@ class TestWitnessProbes:
         found = kernel.min_hitting_set(7, masks, 3)
         assert found == _masks((3, 4, 5))[0]
         assert_hitting_set(7, masks, found, expected[0])
-        assert _lex_witness(7, masks, found) == expected[1]
+        assert kernel.lex_min_hitting_set(7, masks, found) == expected[1]
 
 
 class TestLexWitnessRebuild:
-    """_lex_witness against subset search, from every optimum it can be
-    handed; both backends answer its probes, through the kernel fixture."""
+    """lex_min_hitting_set against subset search, from every optimum it can
+    be handed, on both backends through the kernel fixture."""
 
     @staticmethod
     def _counting(monkeypatch) -> dict[str, int]:
-        """Counters on kernels.min_hitting_set: every call, and the calls
-        whose set is within their lower bound, which accept an element
-        when they come from the rebuild."""
-        tally = {"calls": 0, "accepting": 0}
-        kernel = locdim.kernels.min_hitting_set
+        """Counters behind locdim.kernels: value calls of min_hitting_set,
+        and the probes of each lex_min_hitting_set call, with those that
+        accept an element. A compiled probe cannot be watched, so every
+        rebuild is replayed on the pure kernel, whose _probe calls are
+        counted; the replay must give the same witness, and both backends
+        probe the same restricted systems in the same order."""
+        tally = {"calls": 0, "probes": 0, "accepting": 0}
+        value = locdim.kernels.min_hitting_set
+        lex = locdim.kernels.lex_min_hitting_set
+        probe = _pure._probe
 
-        def counted(universe, masks, lower_bound=0):
-            found = kernel(universe, masks, lower_bound)
+        def counted_value(universe, masks, lower_bound=0):
             tally["calls"] += 1
-            tally["accepting"] += found.bit_count() <= lower_bound
-            return found
+            return value(universe, masks, lower_bound)
 
-        monkeypatch.setattr(locdim.kernels, "min_hitting_set", counted)
+        def counted_probe(restricted, allowed, budget):
+            rest = probe(restricted, allowed, budget)
+            tally["probes"] += 1
+            tally["accepting"] += rest != 0
+            return rest
+
+        def counted_lex(universe, masks, found):
+            witness = lex(universe, masks, found)
+            with monkeypatch.context() as patch:
+                patch.setattr(_pure, "_probe", counted_probe)
+                assert _pure.lex_min_hitting_set(universe, masks, found) == witness
+            return witness
+
+        monkeypatch.setattr(locdim.kernels, "min_hitting_set", counted_value)
+        monkeypatch.setattr(locdim.kernels, "lex_min_hitting_set", counted_lex)
         return tally
 
     def test_every_optimum_rebuilds_the_lex_smallest(self, kernel, monkeypatch):
         """Whichever optimum arrives as `found`, the witness is the lex-
         smallest one. Handed that one, the rebuild takes each of its
-        elements without a kernel call; what calls remain reject an element
+        elements without a probe; what probes remain reject an element
         below the next one of it."""
         tally = self._counting(monkeypatch)
         rng = random.Random(0x1E8)
@@ -386,25 +403,73 @@ class TestLexWitnessRebuild:
             masks = _random_system(rng, universe)
             optima = naive_optima(universe, masks)
             for found in optima:
-                assert _lex_witness(universe, masks, found) == optima[0], (masks, found)
-            tally.update(calls=0, accepting=0)
-            assert _lex_witness(universe, masks, optima[0]) == optima[0]
+                assert locdim.kernels.lex_min_hitting_set(universe, masks, found) == optima[0], (
+                    masks,
+                    found,
+                )
+            tally.update(probes=0, accepting=0)
+            assert locdim.kernels.lex_min_hitting_set(universe, masks, optima[0]) == optima[0]
             assert tally["accepting"] == 0, (masks, tally)
             # a witness whose elements come first, lowest up, needs no
             # rejection either
             if optima[0] == (1 << optima[0].bit_count()) - 1:
-                assert tally["calls"] == 0, (masks, tally)
+                assert tally["probes"] == 0, (masks, tally)
+
+    def test_every_optimum_on_the_word_top(self, kernel):
+        """As above with each system moved to the top elements of a
+        universe of 62 (within 55..61), so the scan first probes the unused
+        elements below it, and the restricted systems use the word's top
+        bit."""
+        rng = random.Random(0x1E9)
+        for _ in range(100):
+            width = rng.randint(1, 7)
+            offset = 62 - width
+            narrow = _random_system(rng, width)
+            masks = [c << offset for c in narrow]
+            optima = [o << offset for o in naive_optima(width, narrow)]
+            for found in optima:
+                assert kernel.lex_min_hitting_set(62, masks, found) == optima[0], (masks, found)
+
+    @pytest.mark.parametrize("offset", [0, 58], ids=["low", "top-of-word"])
+    def test_budget_one_probe_is_one_and(self, kernel, monkeypatch, offset):
+        """{0, 1} and {2, 3}, handed the optimum {1, 3}: the scan probes 0
+        with budget 1, and the restricted system {2, 3} has the single
+        hitter 2, so 0 is taken and the witness is {0, 2}. _least answers
+        no budget-1 probe, since its root returns at once when a greedy
+        cover of 2 is all it has to beat; a probe that ran it would
+        reject 0, and the scan would end at {1, 2}."""
+        masks = [c << offset for c in _masks((0, 1), (2, 3))]
+        found = _masks((1, 3))[0] << offset
+        expected = _masks((0, 2))[0] << offset
+        universe = offset + 4
+        assert naive_optima(4, _masks((0, 1), (2, 3)))[0] << offset == expected
+        assert kernel.lex_min_hitting_set(universe, masks, found) == expected
+        probes = []
+        probe = _pure._probe
+
+        def recorded(restricted, allowed, budget):
+            rest = probe(restricted, allowed, budget)
+            probes.append((sorted(restricted), budget, rest))
+            return rest
+
+        monkeypatch.setattr(_pure, "_probe", recorded)
+        assert _pure.lex_min_hitting_set(universe, masks, found) == expected
+        # the elements below the system are probed first, and rejected
+        assert len(probes) == offset + 1
+        assert all(not rest for _, _, rest in probes[:-1])
+        assert probes[-1] == ([0b1100 << offset], 1, 0b100 << offset)
 
     def test_kernel_calls_over_order_six(self, kernel, monkeypatch):
         """local_metric_dimension over every connected order-6 class makes
-        at most 132 kernel calls, value searches and rebuild probes
-        together; probing every witness element took 256."""
+        at most 132 value calls and rebuild probes together; probing every
+        witness element took 256."""
         tally = self._counting(monkeypatch)
         graphs = list(connected_graphs(6))
         for g in graphs:
             local_metric_dimension(g)
         assert len(graphs) == 112
-        assert tally["calls"] <= 132
+        assert tally["calls"] == 112
+        assert tally["calls"] + tally["probes"] <= 132
 
 
 def _random_system(rng: random.Random, universe: int) -> list[int]:
@@ -480,24 +545,23 @@ def _one_and_level(rem, allowed, picked, found, floor):
 
 class TestHittingSetOracle:
     """The kernel's set, under every valid lower bound the solver can be
-    handed, and the lex-smallest witness rebuilt from it and its probes,
-    against subset search. Each test runs both backends in turn, each also
-    behind kernels.min_hitting_set."""
+    handed, and the lex-smallest witness rebuilt from each of them, against
+    subset search. Each test runs both backends in turn."""
 
     @pytest.fixture
-    def check(self, compiled, monkeypatch):
+    def check(self, compiled):
         def run(universe: int, masks: list[int]) -> None:
             size, witness = naive_hitting_set(universe, masks)
             for kernel in (_pure, compiled):
-                monkeypatch.setattr(locdim.kernels, "min_hitting_set", kernel.min_hitting_set)
                 for lb in sorted({0, 1, size}):
                     found = kernel.min_hitting_set(universe, masks, lb)
                     assert_hitting_set(universe, masks, found, size, (kernel.__name__, lb))
-                assert _lex_witness(universe, masks, found) == witness, (
-                    kernel.__name__,
-                    universe,
-                    masks,
-                )
+                    assert kernel.lex_min_hitting_set(universe, masks, found) == witness, (
+                        kernel.__name__,
+                        universe,
+                        masks,
+                        lb,
+                    )
 
         return run
 

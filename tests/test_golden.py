@@ -3,11 +3,12 @@
 The digests pin the exact stdout of `verify` in both formats (the human
 table with its `elapsed:` figure masked), `dim` in both modes and `scan`,
 so refactors of the solver, the checks or the input parsing must keep
-every byte (ids, floors, witnesses, verdicts) the same. One more digest
-pins the sets the hitting-set kernel returns, not only their sizes. The
+every byte (ids, floors, witnesses, verdicts) the same. Two more digests
+pin the sets the hitting-set kernels return, not only their sizes. The
 module's tests run on the pure kernels; TestCompiledKernels runs each of
-them again on the compiled build. Both patch the five names of locdim.kernels and start from
-an empty class memo, so generation runs on the backend under test too.
+them again on the compiled build. Both patch the six kernels of
+locdim.kernels and start from an empty class memo, so generation runs on
+the backend under test too.
 """
 
 from __future__ import annotations
@@ -25,11 +26,18 @@ from locdim.dimension import MODES, _distinguisher_masks
 from locdim.enumeration import connected_graphs
 from locdim.graphs import GRAPH6_HEADER, to_graph6
 
-KERNELS = ("max_clique", "min_hitting_set", "canonical_bits", "is_canonical", "induced_embedding")
+KERNELS = (
+    "max_clique",
+    "min_hitting_set",
+    "lex_min_hitting_set",
+    "canonical_bits",
+    "is_canonical",
+    "induced_embedding",
+)
 
 
 def use_kernels(monkeypatch, backend) -> None:
-    """Point locdim.kernels at backend's five kernels and empty the memo of
+    """Point locdim.kernels at backend's six kernels and empty the memo of
     generated class bits."""
     for name in KERNELS:
         monkeypatch.setattr(kernels, name, getattr(backend, name))
@@ -95,13 +103,10 @@ def test_scan_gen_seven(capsys):
     )
 
 
-def test_min_hitting_set_masks():
-    """The set min_hitting_set returns, not only its size, at every floor
-    from 0 to the value: on both systems of nine fixed G(n, p) graphs, n 20,
-    24 and 28 and p 0.3, 0.6 and 0.9, and on 2000 seeded random systems,
-    some of them on the word's top bits. A search change that keeps every
-    value may still return another optimum, which the witness rebuild then
-    pays for in probes."""
+def _hitting_set_systems() -> list[tuple[int, list[int]]]:
+    """Both systems of nine fixed G(n, p) graphs, n 20, 24 and 28 and p
+    0.3, 0.6 and 0.9, and 2000 seeded random systems, some of them on the
+    word's top bits."""
     systems = []
     for n in (20, 24, 28):
         for p in (0.3, 0.6, 0.9):
@@ -116,13 +121,35 @@ def test_min_hitting_set_masks():
             c = rng.getrandbits(universe) & rng.getrandbits(universe)
             masks.append((c or 1 << rng.randrange(universe)) << offset)
         systems.append((offset + universe, masks))
+    return systems
+
+
+def test_min_hitting_set_masks():
+    """The set min_hitting_set returns, not only its size, at every floor
+    from 0 to the value, on the systems above. A search change that keeps
+    every value may still return another optimum, which the witness
+    rebuild then pays for in probes."""
     digest = hashlib.sha256()
-    for universe, masks in systems:
+    for universe, masks in _hitting_set_systems():
         value = kernels.min_hitting_set(universe, masks).bit_count()
         for floor in range(value + 1):
             digest.update(b"%x\n" % kernels.min_hitting_set(universe, masks, floor))
     assert digest.hexdigest() == (
         "69e644e77c4f601750beef60e4bf1df63e40bd44360f3fe5a8a450dc57d60a91"
+    )
+
+
+def test_lex_min_hitting_set_witnesses():
+    """The witness lex_min_hitting_set rebuilds from the value search's
+    set, on the same systems. The digest was taken from the witness rebuild
+    that ran its probes as min_hitting_set calls, before it moved into the
+    kernels."""
+    digest = hashlib.sha256()
+    for universe, masks in _hitting_set_systems():
+        found = kernels.min_hitting_set(universe, masks)
+        digest.update(b"%x\n" % kernels.lex_min_hitting_set(universe, masks, found))
+    assert digest.hexdigest() == (
+        "bcad38df19d8da9df2fd1016ffebba690f757b2be5a3e976c3b9f34bbbbb857c"
     )
 
 
@@ -138,3 +165,4 @@ class TestCompiledKernels:
     test_dim_witness_order_seven = staticmethod(test_dim_witness_order_seven)
     test_scan_gen_seven = staticmethod(test_scan_gen_seven)
     test_min_hitting_set_masks = staticmethod(test_min_hitting_set_masks)
+    test_lex_min_hitting_set_witnesses = staticmethod(test_lex_min_hitting_set_witnesses)

@@ -5,8 +5,8 @@ graph: by dimension.lower_bounds, whose LowerBounds every consumer reads.
 The sweep, and `dim` without --witness, solve each graph with one
 hitting-set call and never rebuild a witness, a suite run normalizes its
 check ids once, and the human verify report collects its violations once.
-No floor reaches a value search: only the witness rebuild hands the kernel
-a lower bound.
+No floor reaches a value search, and a witness is rebuilt by one
+lex_min_hitting_set call, whose probes run inside the kernel.
 
 The family tools (problem1_refutation behind `refute-problem1`, and
 family_split_table) solve each member with one unseeded hitting-set call
@@ -89,8 +89,9 @@ def test_scan_computes_each_once(counts):
 @pytest.fixture
 def solves(monkeypatch):
     """The lower_bound of every kernels.min_hitting_set call, in call order
-    ("floors"), and a call counter on the witness rebuild."""
-    tally = {"_lex_witness": 0, "floors": []}
+    ("floors"), and a call counter on the witness rebuild,
+    kernels.lex_min_hitting_set."""
+    tally = {"rebuilds": 0, "floors": []}
     kernel = locdim.kernels.min_hitting_set
 
     def recorded(universe, constraints, lower_bound=0):
@@ -99,7 +100,9 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(locdim.kernels, "min_hitting_set", recorded)
     monkeypatch.setattr(
-        dimension, "_lex_witness", _counted(tally, "_lex_witness", dimension._lex_witness)
+        locdim.kernels,
+        "lex_min_hitting_set",
+        _counted(tally, "rebuilds", locdim.kernels.lex_min_hitting_set),
     )
     return tally
 
@@ -109,23 +112,23 @@ def test_check_graph_solves_once_and_never_rebuilds(solves):
     for g in graphs:
         check_graph(g)
     n = len(graphs)
-    assert solves == {"_lex_witness": 0, "floors": [0] * n}
+    assert solves == {"rebuilds": 0, "floors": [0] * n}
 
 
 def test_scan_never_rebuilds(solves):
     report = scan_clique_ratio(connected_graphs(5))
     assert report.applicable > 0
     n = report.applicable
-    assert solves == {"_lex_witness": 0, "floors": [0] * n}
+    assert solves == {"rebuilds": 0, "floors": [0] * n}
 
 
 @pytest.mark.parametrize("solve", [dimension.local_metric_dimension, dimension.metric_dimension])
 def test_value_search_of_a_solve_is_unseeded(solves, solve):
     for g in connected_graphs(5):
-        solves["floors"].clear()
+        solves.update(rebuilds=0, floors=[])
         solve(g)
-        # the calls after the first are the rebuild's probes, with budgets
-        assert solves["floors"][0] == 0, g
+        # one unseeded value search, and one rebuild that probes inside
+        assert solves == {"rebuilds": 1, "floors": [0]}, g
 
 
 def test_dim_witness_rebuilds_once_per_line(solves, capsys, tmp_path):
@@ -134,7 +137,7 @@ def test_dim_witness_rebuilds_once_per_line(solves, capsys, tmp_path):
     assert main(["dim", "--input", str(target), "--witness"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 21 and all(" witness=" in line for line in lines)
-    assert solves["_lex_witness"] == 21
+    assert solves == {"rebuilds": 21, "floors": [0] * 21}
 
 
 @pytest.mark.parametrize("mode", ["local", "full"])
@@ -144,13 +147,13 @@ def test_dim_without_witness_never_rebuilds(solves, capsys, tmp_path, mode):
     assert main(["dim", "--input", str(target), "--mode", mode]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 21 and not any(" witness=" in line for line in lines)
-    assert solves == {"_lex_witness": 0, "floors": [0] * 21}
+    assert solves == {"rebuilds": 0, "floors": [0] * 21}
 
 
 def test_family_tools_solve_each_member_once_for_the_value(counts, solves):
     members = len(problem1_refutation(5).rows) + len(family_split_table(7).rows)
     assert members == 4 + 22
-    assert solves == {"_lex_witness": 0, "floors": [0] * members}
+    assert solves == {"rebuilds": 0, "floors": [0] * members}
     assert counts == {"max_clique": 0, "twin_partition": 0}
 
 
