@@ -33,18 +33,23 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_order(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
 class Graph:
     """Undirected simple graph; adj[v] is the open-neighborhood bitmask.
 
     Immutable: both fields are checked once, here, adj is stored as a
     tuple, and assignment is refused. Equality and hashing go by (n, adj).
-    A pickle holds the class and the instance dict, so unpickling (in a
-    pool worker, say) restores the fields without running __init__ again.
+    Rows that are valid by construction skip the checks through
+    _trusted_graph: those decoded from triangle bits, and a pickle, which
+    holds just (n, adj), when it is loaded (in a pool worker, say).
     """
 
     def __init__(self, n: int, adj: Sequence[int]) -> None:
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        _check_order(n)
         adj = tuple(adj)
         if len(adj) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
@@ -71,6 +76,9 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}(n={self.n!r}, adj={self.adj!r})"
+
+    def __reduce__(self):
+        return _trusted_graph, (self.n, self.adj)
 
     def _rows_valid(self) -> bool:
         """Rows in range, no self-loop, symmetric; each edge is looked at
@@ -165,10 +173,18 @@ class Graph:
         return Graph(self.n, rows)
 
 
+def _trusted_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph from n rows that are valid by construction (in range,
+    loop-free, symmetric, a tuple), set in place without the checks."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Create a graph from an edge list; duplicate edges collapse."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -214,23 +230,33 @@ def twin_masks(adj: Sequence[int]) -> list[int]:
 
 def _triangle_rows(n: int, bits: int) -> list[int]:
     """Adjacency rows of the n-vertex graph whose triangle bits are bits,
-    which must fit in n(n-1)/2 bits."""
+    which must fit in n(n-1)/2 bits. Column j is a j-bit slice whose most
+    significant bit is vertex 0, so set bit b names vertex j-1-b; rows[j]
+    is still 0 when its column is read, as only later columns touch it."""
     rows = [0] * n
     pos = n * (n - 1) // 2
     for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if (bits >> pos) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        pos -= j
+        column = (bits >> pos) & ((1 << j) - 1)
+        bit_j = 1 << j
+        row = 0
+        while column:
+            low = column & -column
+            i = j - low.bit_length()
+            rows[i] |= bit_j
+            row |= 1 << i
+            column ^= low
+        rows[j] = row
     return rows
 
 
 def graph_from_triangle_bits(n: int, bits: int) -> Graph:
-    """Inverse of triangle_bits."""
+    """Inverse of triangle_bits. Rows built from triangle bits are valid by
+    construction, so only n and the bits are checked."""
     if bits >> (n * (n - 1) // 2):
         raise ValueError(f"triangle bits out of range for n={n}")
-    return Graph(n, _triangle_rows(n, bits))
+    _check_order(n)
+    return _trusted_graph(n, tuple(_triangle_rows(n, bits)))
 
 
 def _triangle_graph6(n: int, bits: int) -> str:

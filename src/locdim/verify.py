@@ -252,20 +252,44 @@ def check_graph(g: Graph, checks: Sequence[str] | None = None) -> TheoremReport:
     return _check_normalized(g, normalize_checks(checks))
 
 
+# (check functions, every fact a check reads) -> (applicable, holds,
+# details). The checks are pure functions of those facts, and a sweep meets
+# few distinct patterns of them (32 over the order-8 classes), so each
+# pattern is evaluated once. The functions are part of the key, so a check
+# replaced in CHECKS is evaluated anew. Emptied when full.
+_VERDICTS: dict[tuple, tuple[int, int, tuple[str, ...]]] = {}
+_VERDICTS_MAX = 4096
+
+
 def _check_normalized(g: Graph, ids: tuple[str, ...]) -> TheoremReport:
     """check_graph on check ids normalize_checks has already returned."""
     if g.n < 3:
         raise ValueError(f"checks need n >= 3, got n={g.n}")
     facts = GraphFacts(g)
-    applicable = holds = 0
-    details = []
-    for i, cid in enumerate(ids):
-        a, h, text = CHECKS[cid](facts)
-        applicable |= a << i
-        holds |= h << i
-        if a and not h:
-            details.append(text)
-    return TheoremReport(facts.graph_id, ids, applicable, holds, tuple(details))
+    checks = tuple(map(CHECKS.__getitem__, ids))
+    n, omega, bounds = facts.n, facts.omega, facts.bounds
+    key = (
+        checks, n, facts.dim_local, omega,
+        bounds.log_clique, bounds.gap_raw, bounds.twin,
+        facts.is_complete, facts.triangle_free, facts.bipartite,
+        facts.is_cycle5, facts.is_split_extremal,
+        # the checks read gamma_free only when n >= 5 and omega = n-2
+        n >= 5 and omega == n - 2 and facts.gamma_free,
+    )
+    verdict = _VERDICTS.get(key)
+    if verdict is None:
+        applicable = holds = 0
+        details = []
+        for i, check in enumerate(checks):
+            a, h, text = check(facts)
+            applicable |= a << i
+            holds |= h << i
+            if a and not h:
+                details.append(text)
+        if len(_VERDICTS) >= _VERDICTS_MAX:
+            _VERDICTS.clear()
+        verdict = _VERDICTS[key] = (applicable, holds, tuple(details))
+    return TheoremReport(facts.graph_id, ids, *verdict)
 
 
 class SuiteReport(NamedTuple):
@@ -369,6 +393,9 @@ def run_suite(
         # which a serial run would pay for on every import of the package
         from concurrent.futures import ProcessPoolExecutor
 
+        # 4 chunks per worker: 4, 8, 16 and 32 gave the same pool wall over
+        # the 11117 relabeled order-8 classes at jobs=2 on both backends
+        # (medians within each other's quartiles), so the fewest stay
         chunk = max(1, len(graphs) // (4 * jobs))
         # a fork-started pool forks every worker at its first submit, so it
         # gets no more workers than there are graphs

@@ -229,6 +229,22 @@ def naive_canonical_bits(n: int, adj) -> int:
     return best
 
 
+def triangle_rows_by_pairs(n: int, bits: int) -> list[int]:
+    """Adjacency rows of the n-vertex graph whose triangle bits are bits,
+    testing one pair at a time in (0,1), (0,2), (1,2), (0,3), ... order,
+    first pair most significant: the reference for the column slices of
+    graphs._triangle_rows."""
+    rows = [0] * n
+    pos = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if (bits >> pos) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
 def naive_blocks(n: int, adj) -> set[int]:
     """The maximum independent sets whose every member is the lowest vertex
     of its true-twin class (equal closed neighborhoods), as masks, by

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import pickle
 import random
+import re
 
 import pytest
-from conftest import naive_distances
-from hypothesis import given
+from conftest import naive_distances, triangle_rows_by_pairs
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from locdim.graphs import (
@@ -217,19 +218,18 @@ class TestValueSemantics:
     def test_pickle_round_trip_skips_the_checks(self, monkeypatch):
         g = build(8, [(i, i + 1) for i in range(7)])
         data = pickle.dumps(g)
-        assert len(data) == 77
-        assert g.m == 7  # now cached, and pickled along with the fields
-        cached = pickle.dumps(g)
+        assert len(data) == 72
+        assert g.m == 7  # now cached, but the pickle holds (n, adj) alone
+        assert pickle.dumps(g) == data
 
         def refuse(self):
             raise AssertionError("an unpickled graph was validated again")
 
         monkeypatch.setattr(Graph, "_rows_valid", refuse)
-        for blob in (data, cached):
-            back = pickle.loads(blob)
-            assert back == g and back.m == 7
-            with pytest.raises(AttributeError):
-                back.n = 1
+        back = pickle.loads(data)
+        assert back == g and hash(back) == hash(g) and back.m == 7
+        with pytest.raises(AttributeError):
+            back.n = 1
 
 
 class TestGraph6:
@@ -291,9 +291,40 @@ class TestGraph6:
     def test_triangle_bits_roundtrip(self, g: Graph):
         assert graph_from_triangle_bits(g.n, triangle_bits(g.n, g.adj)) == g
 
+    @given(st.integers(1, 62).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    ))
+    @example((62, (1 << 1891) - 1))
+    @example((62, 1 << 1890))
+    @example((62, 1))
+    def test_trusted_construction_matches_the_checked_one(self, n_bits):
+        """graph_from_triangle_bits skips Graph's row checks: the rows it
+        builds equal the pair-by-pair reference, which Graph(n, rows)
+        accepts, and pass the checks themselves."""
+        n, bits = n_bits
+        g = graph_from_triangle_bits(n, bits)
+        checked = Graph(n, triangle_rows_by_pairs(n, bits))
+        assert g == checked and hash(g) == hash(checked)
+        assert type(g.adj) is tuple and g._rows_valid()
+
     def test_triangle_bits_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             graph_from_triangle_bits(3, 1 << 3)
+
+    @pytest.mark.parametrize(
+        "n, bits, message",
+        [
+            (62, 1 << 1891, "triangle bits out of range for n=62"),
+            (4, -1, "triangle bits out of range for n=4"),
+            (0, 1, "triangle bits out of range for n=0"),
+            (0, 0, "vertex count must be in 1..62, got 0"),
+            (-1, 0, "vertex count must be in 1..62, got -1"),
+            (63, 0, "vertex count must be in 1..62, got 63"),
+        ],
+    )
+    def test_triangle_bits_rejects_bad_input(self, n, bits, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            graph_from_triangle_bits(n, bits)
 
 
 class TestTraversals:

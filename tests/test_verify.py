@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import pickle
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -179,6 +180,17 @@ class TestCheckGraph:
             if f.omega <= f.n - 3:
                 assert verify_mod._c7(f)[0]
 
+    def test_suite_reads_gamma_free_only_where_a_check_does(self, monkeypatch):
+        """Only C9 and C10 read gamma_free, both when n >= 5 and omega =
+        n-2; the remembered verdicts are keyed on it there alone."""
+        read = []
+        monkeypatch.setattr(verify_mod, "is_gamma_free", lambda g: read.append(g) or True)
+        graphs = [g for n in range(3, 7) for g in connected_graphs(n)]
+        run_suite(graphs)
+        assert read == [
+            g for g in graphs if g.n >= 5 and GraphFacts(g).omega == g.n - 2
+        ]
+
 
 class TestNormalize:
     def test_default_is_everything(self):
@@ -295,6 +307,46 @@ class TestSuite:
         fanned = run_suite(connected_graphs(6), jobs=2, source="x")
         assert serial.reports == fanned.reports
         assert serial.to_text().split("\n")[2:] == fanned.to_text().split("\n")[2:]
+
+    @pytest.mark.parametrize("source", ["gen-7", "relabeled corpus"])
+    def test_records_are_identical_for_one_two_and_three_jobs(self, source):
+        graphs = list(connected_graphs(7))
+        if source == "relabeled corpus":
+            rng = random.Random(7)
+            graphs = [g.relabel(rng.sample(range(g.n), g.n)) for g in graphs]
+            rng.shuffle(graphs)
+        records = [run_suite(graphs, jobs=jobs).to_records() for jobs in (1, 2, 3)]
+        assert len(records[0]) == 853 * len(CHECK_IDS)
+        assert records[0] == records[1] == records[2]
+
+    def test_each_fact_pattern_is_checked_once(self, monkeypatch):
+        calls = []
+        c1 = CHECKS["C1"]
+
+        def counted(facts):
+            calls.append(facts.graph_id)
+            return c1(facts)
+
+        unpatched = run_suite(connected_graphs(7))
+        monkeypatch.setitem(CHECKS, "C1", counted)
+        assert run_suite(connected_graphs(7)).reports == unpatched.reports
+        # the 853 order-7 classes show 20 distinct fact patterns
+        assert len(calls) == 20
+
+    def test_a_replaced_check_is_evaluated_anew(self, monkeypatch):
+        """Verdicts remembered for the facts do not outlive the check
+        that gave them."""
+        graphs = list(connected_graphs(6))
+        before = run_suite(graphs)
+        assert before.ok
+        monkeypatch.setitem(CHECKS, "C3", lambda facts: (True, False, "replaced"))
+        after = run_suite(graphs)
+        c3 = CHECK_IDS.index("C3")
+        assert all(not rep.holds >> c3 & 1 for rep in after.reports)
+        assert {details for _, cid, details in after.violations} == {"replaced"}
+        assert len(after.violations) == len(graphs)
+        monkeypatch.undo()
+        assert run_suite(graphs).reports == before.reports
 
     def test_serial_run_consumes_its_input_lazily(self, monkeypatch):
         drawn = []
