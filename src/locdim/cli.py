@@ -29,6 +29,8 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_FINDINGS = 3
 
+RECORDS_PER_WRITE = 8192
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is 1."""
@@ -172,9 +174,11 @@ def _cmd_verify(args) -> int:
     source = f"gen-{args.gen}" if args.gen is not None else str(args.corpus)
     report = verify_mod.run_suite(graphs, checks=args.checks, jobs=args.jobs, source=source)
     if args.format == "records":
+        # in batches: one join would copy the whole output, and unbuffered
+        # stdout makes each write a syscall
         records = report.to_records()
-        if records:
-            print("\n".join(records))
+        for start in range(0, len(records), RECORDS_PER_WRITE):
+            sys.stdout.write("\n".join(records[start:start + RECORDS_PER_WRITE]) + "\n")
     else:
         print(report.to_text())
     return EXIT_OK if report.ok else EXIT_FINDINGS

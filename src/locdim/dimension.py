@@ -11,7 +11,7 @@ construction over all vertex pairs instead of edges.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from . import kernels
@@ -194,10 +194,17 @@ def _distinguisher_masks(g: Graph, mode: str) -> list[int]:
     return masks
 
 
+def _values(graphs: Sequence[Graph], mode: str) -> list[int]:
+    """The dimension in `mode` of each connected graph alone, one kernel
+    call each and no witness: every graph's masks, then every search."""
+    masks = [_distinguisher_masks(g, mode) for g in graphs]
+    solve = kernels.min_hitting_set
+    return [solve(g.n, m).bit_count() for g, m in zip(graphs, masks)]
+
+
 def _value(g: Graph, mode: str) -> int:
-    """The dimension in `mode` of a connected graph alone: one kernel call
-    and no witness, for callers that read only the value."""
-    return kernels.min_hitting_set(g.n, _distinguisher_masks(g, mode)).bit_count()
+    """_values of one graph, for callers that read only the value."""
+    return _values([g], mode)[0]
 
 
 def _solve(g: Graph, mode: str) -> DimResult:

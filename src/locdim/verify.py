@@ -3,20 +3,22 @@
 Eleven checks (C1..C11), each a statement that must hold for every
 connected graph meeting its premise; a check whose premise fails is
 recorded as inapplicable and vacuously true. run_suite evaluates them over
-a stream of graphs, optionally fanning out to worker processes; everything
-is deterministic, so the machine-readable output is byte-identical for any
-worker count. All verdicts compare exact integers, never floats.
+a stream of graphs a chunk at a time, optionally fanning the chunks out to
+worker processes; everything is deterministic, so the machine-readable
+output is byte-identical for any worker count. All verdicts compare exact
+integers, never floats.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple
 
-from .dimension import _value, lower_bounds
+from .dimension import _value, _values, lower_bounds
 from .enumeration import CANONICAL_MAX_VERTICES, canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
 from .graphs import MAX_VERTICES, Graph, bit_indices, is_bipartite, to_graph6
@@ -58,30 +60,32 @@ def _graph_id(g: Graph) -> str:
     return to_graph6(g)
 
 
+# graphs per unit of work: a serial run draws this many at a time, and a
+# pool task is at most this many. Each fact is computed over the whole chunk
+# before the next, which keeps one layer's code and branches hot. Facts and
+# verdicts per relabeled order-8 class, in process: graph by graph 153 us
+# pure and 38 compiled; chunks of 8, 132 and 38; chunks of 32 to all 11117,
+# 121-127 and 33-35 (BENCH_27.json)
+CHUNK = 256
+
+
+def _chunks(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
+    """The stream in lists of at most CHUNK graphs, each drawn when asked for."""
+    stream = iter(graphs)
+    while chunk := list(itertools.islice(stream, CHUNK)):
+        yield chunk
+
+
 class GraphFacts:
-    """Everything the checks consult, computed once per graph. The value
-    is solved from the constraints alone, so C4 and C5 test the floors in
+    """Everything the checks consult about one graph, computed once.
+    GraphFacts(g) is the one-graph chunk of _chunk_facts. The value is
+    solved from the constraints alone, so C4 and C5 test the floors in
     `bounds` against it. Only gamma_free waits for its first read: the
     checks read it only when omega = n-2, and it costs two embedding
     searches."""
 
-    def __init__(self, g: Graph):
-        self.g = g
-        self.n = n = g.n
-        self.bounds = lower_bounds(g)
-        # the value alone: no check reads a witness
-        self.dim_local = _value(g, "local")
-        self.omega = self.bounds.omega
-        # read off the clique number the floors already computed
-        self.is_complete = self.omega == n
-        self.triangle_free = self.omega <= 2
-        self.graph_id = _graph_id(g)
-        self.bipartite = is_bipartite(g)
-        # the 5-cycle is the only connected 2-regular graph on 5 vertices
-        self.is_cycle5 = n == 5 and all(g.degree(v) == 2 for v in range(5))
-        # a clique-minus-biclique member with both removed blocks of size >= 2
-        params = complete_minus_bipartite_params(g)
-        self.is_split_extremal = params is not None and params[1] >= 2
+    def __new__(cls, g: Graph) -> GraphFacts:
+        return _chunk_facts([g])[0]
 
     @functools.cached_property
     def gamma_free(self) -> bool:
@@ -94,6 +98,41 @@ class GraphFacts:
         member with both blocks of size at least 2."""
         case_i = self.omega == self.n - 2 and self.gamma_free
         return case_i or self.is_cycle5 or self.is_split_extremal
+
+
+def _chunk_facts(graphs: Sequence[Graph]) -> list[GraphFacts]:
+    """The facts of each graph, one layer over the whole chunk before the
+    next: floors, graph ids, local values, bipartiteness, the split test. The
+    floors come first, so a disconnected graph raises DisconnectedError
+    there, before any other work on the chunk."""
+    bounds = list(map(lower_bounds, graphs))
+    graph_ids = list(map(_graph_id, graphs))
+    values = _values(graphs, "local")
+    bipartite = list(map(is_bipartite, graphs))
+    split = list(map(complete_minus_bipartite_params, graphs))
+    new = object.__new__
+    chunk = []
+    for g, b, graph_id, dim_local, bip, params in zip(
+        graphs, bounds, graph_ids, values, bipartite, split
+    ):
+        f = new(GraphFacts)
+        f.g = g
+        f.n = n = g.n
+        f.bounds = b
+        # the value alone: no check reads a witness
+        f.dim_local = dim_local
+        # read off the clique number the floors already computed
+        f.omega = omega = b.omega
+        f.is_complete = omega == n
+        f.triangle_free = omega <= 2
+        f.graph_id = graph_id
+        f.bipartite = bip
+        # the 5-cycle is the only connected 2-regular graph on 5 vertices
+        f.is_cycle5 = n == 5 and all(g.degree(v) == 2 for v in range(5))
+        # a clique-minus-biclique member with both removed blocks of size >= 2
+        f.is_split_extremal = params is not None and params[1] >= 2
+        chunk.append(f)
+    return chunk
 
 
 def _clique_ratio(dim_local: int, omega: int, n: int) -> tuple[bool, str]:
@@ -249,7 +288,7 @@ def normalize_checks(checks: Iterable[str] | None) -> tuple[str, ...]:
 
 def check_graph(g: Graph, checks: Sequence[str] | None = None) -> TheoremReport:
     """Evaluate the selected checks on one connected graph with n >= 3."""
-    return _check_normalized(g, normalize_checks(checks))
+    return _check_chunk([g], normalize_checks(checks))[0]
 
 
 # (check functions, every fact a check reads) -> (applicable, holds,
@@ -261,35 +300,42 @@ _VERDICTS: dict[tuple, tuple[int, int, tuple[str, ...]]] = {}
 _VERDICTS_MAX = 4096
 
 
-def _check_normalized(g: Graph, ids: tuple[str, ...]) -> TheoremReport:
-    """check_graph on check ids normalize_checks has already returned."""
-    if g.n < 3:
-        raise ValueError(f"checks need n >= 3, got n={g.n}")
-    facts = GraphFacts(g)
+def _check_chunk(graphs: Sequence[Graph], ids: tuple[str, ...]) -> list[TheoremReport]:
+    """check_graph over a chunk, on check ids normalize_checks has already
+    returned: every graph's facts, then every verdict. A fault raises for
+    the first faulty graph in input order, as one graph at a time would."""
+    for i, g in enumerate(graphs):
+        if g.n < 3:
+            # a disconnected graph before it raises from its floors first
+            _chunk_facts(graphs[:i])
+            raise ValueError(f"checks need n >= 3, got n={g.n}")
     checks = tuple(map(CHECKS.__getitem__, ids))
-    n, omega, bounds = facts.n, facts.omega, facts.bounds
-    key = (
-        checks, n, facts.dim_local, omega,
-        bounds.log_clique, bounds.gap_raw, bounds.twin,
-        facts.is_complete, facts.triangle_free, facts.bipartite,
-        facts.is_cycle5, facts.is_split_extremal,
-        # the checks read gamma_free only when n >= 5 and omega = n-2
-        n >= 5 and omega == n - 2 and facts.gamma_free,
-    )
-    verdict = _VERDICTS.get(key)
-    if verdict is None:
-        applicable = holds = 0
-        details = []
-        for i, check in enumerate(checks):
-            a, h, text = check(facts)
-            applicable |= a << i
-            holds |= h << i
-            if a and not h:
-                details.append(text)
-        if len(_VERDICTS) >= _VERDICTS_MAX:
-            _VERDICTS.clear()
-        verdict = _VERDICTS[key] = (applicable, holds, tuple(details))
-    return TheoremReport(facts.graph_id, ids, *verdict)
+    reports = []
+    for facts in _chunk_facts(graphs):
+        n, omega, bounds = facts.n, facts.omega, facts.bounds
+        key = (
+            checks, n, facts.dim_local, omega,
+            bounds.log_clique, bounds.gap_raw, bounds.twin,
+            facts.is_complete, facts.triangle_free, facts.bipartite,
+            facts.is_cycle5, facts.is_split_extremal,
+            # the checks read gamma_free only when n >= 5 and omega = n-2
+            n >= 5 and omega == n - 2 and facts.gamma_free,
+        )
+        verdict = _VERDICTS.get(key)
+        if verdict is None:
+            applicable = holds = 0
+            details = []
+            for i, check in enumerate(checks):
+                a, h, text = check(facts)
+                applicable |= a << i
+                holds |= h << i
+                if a and not h:
+                    details.append(text)
+            if len(_VERDICTS) >= _VERDICTS_MAX:
+                _VERDICTS.clear()
+            verdict = _VERDICTS[key] = (applicable, holds, tuple(details))
+        reports.append(TheoremReport(facts.graph_id, ids, *verdict))
+    return reports
 
 
 class SuiteReport(NamedTuple):
@@ -374,18 +420,21 @@ def run_suite(
     jobs: int = 1,
     source: str = "",
 ) -> SuiteReport:
-    """Evaluate checks over a graph stream, with optional process fan-out.
+    """Evaluate checks over a graph stream a chunk at a time, with optional
+    process fan-out.
 
-    Report order follows the input order whatever the worker count, so
-    to_records output is byte-identical for any `jobs`.
+    Each chunk is checked by _check_chunk, one fact over the whole chunk
+    before the next. One job draws the stream a chunk at a time and never
+    holds it whole; more jobs list the input and split it into equal
+    chunks of at most CHUNK graphs, one pool task each. Report order
+    follows the input order whatever the worker count, so to_records
+    output is byte-identical for any `jobs`.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     ids = normalize_checks(checks)
-    fn = functools.partial(_check_normalized, ids=ids)
+    fn = functools.partial(_check_chunk, ids=ids)
     if jobs > 1:
-        # the pool sizes its chunks from the count; a serial run checks
-        # each graph as it is drawn and never holds the whole input
         graphs = list(graphs)
     started = time.perf_counter()
     if jobs > 1 and len(graphs) > 1:
@@ -393,16 +442,19 @@ def run_suite(
         # which a serial run would pay for on every import of the package
         from concurrent.futures import ProcessPoolExecutor
 
-        # 4 chunks per worker: 4, 8, 16 and 32 gave the same pool wall over
-        # the 11117 relabeled order-8 classes at jobs=2 on both backends
-        # (medians within each other's quartiles), so the fewest stay
-        chunk = max(1, len(graphs) // (4 * jobs))
+        # one task per chunk of at most CHUNK graphs, and at least one task
+        # per worker; equal sizes, so no task is a short tail. Pool wall at
+        # jobs=2 over the relabeled order-8 classes did not tell chunks of
+        # 64 to 1024 apart on either backend (BENCH_27.json)
+        tasks = max(-(-len(graphs) // CHUNK), min(jobs, len(graphs)))
+        size = -(-len(graphs) // tasks)
+        chunks = [graphs[i:i + size] for i in range(0, len(graphs), size)]
         # a fork-started pool forks every worker at its first submit, so it
-        # gets no more workers than there are graphs
-        with ProcessPoolExecutor(max_workers=min(jobs, len(graphs))) as pool:
-            reports = tuple(pool.map(fn, graphs, chunksize=chunk))
+        # gets no more workers than there are chunks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+            reports = tuple(itertools.chain.from_iterable(pool.map(fn, chunks)))
     else:
-        reports = tuple(map(fn, graphs))
+        reports = tuple(itertools.chain.from_iterable(map(fn, _chunks(graphs))))
     elapsed = time.perf_counter() - started
     return SuiteReport(source, ids, reports, elapsed)
 
@@ -546,27 +598,29 @@ def scan_clique_ratio(
     """Exact-integer scan of dim_local*(omega-1) <= (omega-2)*n over graphs
     meeting the n >= omega+1 >= 4 gate; omega_values optionally narrows the
     clique numbers scanned, and a requested omega below 3, which the gate
-    never lets through, raises ValueError before any graph is read. The gate
-    reads omega from lower_bounds, and only graphs that pass it are solved,
-    for the value alone and without those bounds."""
+    never lets through, raises ValueError before any graph is read. A chunk
+    at a time, the gate reads omega from every graph's lower_bounds, and
+    only graphs that pass it are solved, for the value alone and without
+    those bounds."""
     wanted = None if omega_values is None else set(omega_values)
     if wanted and min(wanted) < 3:
         raise ValueError(f"need omega >= 3, got {min(wanted)}")
     total = 0
     applicable = 0
     violations = []
-    for g in graphs:
-        total += 1
-        omega = lower_bounds(g).omega
-        if omega < 3 or g.n < omega + 1:
-            continue
-        if wanted is not None and omega not in wanted:
-            continue
-        applicable += 1
-        dim_local = _value(g, "local")
-        holds, details = _clique_ratio(dim_local, omega, g.n)
-        if not holds:
-            violations.append((_graph_id(g), details))
+    for chunk in _chunks(graphs):
+        total += len(chunk)
+        gated = [
+            (g, b.omega)
+            for g, b in zip(chunk, map(lower_bounds, chunk))
+            if 3 <= b.omega < g.n and (wanted is None or b.omega in wanted)
+        ]
+        applicable += len(gated)
+        values = _values([g for g, _ in gated], "local")
+        for (g, omega), dim_local in zip(gated, values):
+            holds, details = _clique_ratio(dim_local, omega, g.n)
+            if not holds:
+                violations.append((_graph_id(g), details))
     return ScanReport(total, applicable, tuple(sorted(violations)))
 
 
@@ -603,10 +657,10 @@ def dimension_class_audit(n: int) -> AuditReport:
         raise ValueError(f"audit supports 5 <= n <= {CANONICAL_MAX_VERTICES}, got {n}")
     observed = []
     predicted = []
-    for g in connected_graphs(n):
-        facts = GraphFacts(g)
-        if facts.dim_local == n - 3:
-            observed.append(facts.graph_id)
-        if facts.classified_n_minus_3:
-            predicted.append(facts.graph_id)
+    for chunk in _chunks(connected_graphs(n)):
+        for facts in _chunk_facts(chunk):
+            if facts.dim_local == n - 3:
+                observed.append(facts.graph_id)
+            if facts.classified_n_minus_3:
+                predicted.append(facts.graph_id)
     return AuditReport(n, tuple(sorted(observed)), tuple(sorted(predicted)))

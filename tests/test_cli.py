@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import re
 import sys
 
@@ -166,29 +167,33 @@ class TestVerify:
         assert serial == fanned
 
     def test_serial_gen_run_checks_each_graph_as_drawn(self, capsys, monkeypatch):
+        """Each chunk of the stream is checked before the next is drawn, so
+        a serial sweep is never more than one chunk ahead of its checks."""
+        total = 3 * verify_mod.CHUNK + 1
         drawn = []
 
         def stream(n):
-            for g in connected_graphs(n):
+            for g in itertools.islice(itertools.cycle(connected_graphs(n)), total):
                 drawn.append(g)
                 yield g
 
-        check = verify_mod._check_normalized
+        check = verify_mod._check_chunk
         checked = []
 
-        def check_as_drawn(g, ids):
-            # each graph is checked before the next one is drawn
-            assert drawn[-1] is g
-            checked.append(g)
-            return check(g, ids)
+        def check_as_drawn(graphs, ids):
+            # exactly the graphs drawn since the last check, at most a chunk
+            assert len(graphs) <= verify_mod.CHUNK
+            assert graphs == drawn[len(checked):]
+            checked.extend(graphs)
+            return check(graphs, ids)
 
         monkeypatch.setattr(cli, "connected_graphs", stream)
-        monkeypatch.setattr(verify_mod, "_check_normalized", check_as_drawn)
+        monkeypatch.setattr(verify_mod, "_check_chunk", check_as_drawn)
         code, out, _ = run_cli(capsys, "verify", "--gen", "4", "--format", "records")
         assert code == 0
-        assert len(drawn) == 6
+        assert len(drawn) == total
         assert checked == drawn
-        assert len(out.splitlines()) == 6 * 11
+        assert len(out.splitlines()) == total * 11
 
     def test_violation_reported_end_to_end(self, capsys, monkeypatch):
         """A check that fails on some graphs surfaces with its own text,

@@ -29,16 +29,20 @@ def _reported(monkeypatch, install) -> dict[str, set[str]]:
 
 
 def _on_facts(mutate):
-    """A plant that rewrites a graph's facts once they are computed; mutate
-    changes them in place."""
+    """A plant that rewrites each graph's facts once they are computed;
+    mutate changes them in place. Planted where every chunk's facts are
+    assembled, so GraphFacts(g), the one-graph chunk, sees it too."""
 
     def install(monkeypatch):
-        class Planted(GraphFacts):
-            def __init__(self, g):
-                super().__init__(g)
-                mutate(self)
+        real = verify._chunk_facts
 
-        monkeypatch.setattr(verify, "GraphFacts", Planted)
+        def planted(graphs):
+            chunk = real(graphs)
+            for facts in chunk:
+                mutate(facts)
+            return chunk
+
+        monkeypatch.setattr(verify, "_chunk_facts", planted)
 
     return install
 

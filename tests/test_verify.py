@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import pickle
 import random
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ from locdim.families import (
     gamma2,
     path,
 )
-from locdim.graphs import build, is_triangle_free
+from locdim.graphs import DisconnectedError, build, is_triangle_free
 from locdim.verify import (
     CHECK_IDS,
     CHECKS,
@@ -349,24 +350,30 @@ class TestSuite:
         assert run_suite(graphs).reports == before.reports
 
     def test_serial_run_consumes_its_input_lazily(self, monkeypatch):
+        """A serial run draws its stream a chunk at a time: each chunk is
+        checked before the next is drawn, so the run is never more than one
+        chunk ahead of its checks and never holds the whole stream."""
+        total = 3 * verify_mod.CHUNK + 1
+        classes = list(connected_graphs(5))
         drawn = []
 
         def stream():
-            for g in connected_graphs(4):
+            for g in itertools.islice(itertools.cycle(classes), total):
                 drawn.append(g)
                 yield g
 
-        check = verify_mod._check_normalized
+        check = verify_mod._check_chunk
         checked = []
 
-        def check_as_drawn(g, ids):
-            # each graph is checked before the next one is drawn
-            assert drawn[-1] is g
-            checked.append(g)
-            return check(g, ids)
+        def check_as_drawn(graphs, ids):
+            # exactly the graphs drawn since the last check, at most a chunk
+            assert len(graphs) <= verify_mod.CHUNK
+            assert graphs == drawn[len(checked):]
+            checked.extend(graphs)
+            return check(graphs, ids)
 
-        monkeypatch.setattr(verify_mod, "_check_normalized", check_as_drawn)
-        assert run_suite(stream(), jobs=1).graph_count == len(drawn) == 6
+        monkeypatch.setattr(verify_mod, "_check_chunk", check_as_drawn)
+        assert run_suite(stream(), jobs=1).graph_count == len(drawn) == total
         assert checked == drawn
 
     def test_pool_gets_no_more_workers_than_graphs(self, monkeypatch):
@@ -392,6 +399,72 @@ class TestSuite:
         fanned = run_suite(connected_graphs(3), jobs=1000, source="x")
         assert sizes == [2]
         assert fanned.to_records() == run_suite(connected_graphs(3), source="x").to_records()
+
+
+@pytest.fixture
+def backend(monkeypatch, impl):
+    """locdim.kernels pointed at each kernel backend in turn; forked pool
+    workers inherit the patch."""
+    for name in locdim.kernels.__all__:
+        if name != "BACKEND":
+            monkeypatch.setattr(locdim.kernels, name, getattr(impl, name))
+    return impl
+
+
+def _relabeled_order_seven(length: int = 853) -> list:
+    """The order-7 classes relabeled and shuffled by a seeded RNG, repeated
+    or cut to `length` graphs."""
+    rng = random.Random(27)
+    graphs = [g.relabel(rng.sample(range(g.n), g.n)) for g in connected_graphs(7)]
+    rng.shuffle(graphs)
+    return list(itertools.islice(itertools.cycle(graphs), length))
+
+
+CHUNKED_INPUTS = {
+    "orders 3-7": lambda: [g for n in range(3, 8) for g in connected_graphs(n)],
+    "relabeled order 7": _relabeled_order_seven,
+    "CHUNK - 1": lambda: _relabeled_order_seven(verify_mod.CHUNK - 1),
+    "CHUNK": lambda: _relabeled_order_seven(verify_mod.CHUNK),
+    "CHUNK + 1": lambda: _relabeled_order_seven(verify_mod.CHUNK + 1),
+}
+
+
+class TestChunks:
+    @pytest.mark.parametrize("source", CHUNKED_INPUTS)
+    def test_chunked_suite_equals_per_graph_checks(self, backend, source):
+        """The suite checks a chunk at a time, one fact over the chunk
+        before the next; its reports equal check_graph's, one graph at a
+        time, at every job count."""
+        graphs = CHUNKED_INPUTS[source]()
+        expected = [check_graph(g) for g in graphs]
+        for jobs in (1, 2, 3):
+            assert list(run_suite(graphs, jobs=jobs).reports) == expected, jobs
+
+    def test_chunk_facts_equal_one_graph_facts(self, backend):
+        graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+        chunked = verify_mod._chunk_facts(graphs)
+        assert [vars(f) for f in chunked] == [vars(GraphFacts(g)) for g in graphs]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("first", ["n < 3", "disconnected"])
+    def test_the_earlier_fault_in_a_chunk_wins(self, first, jobs):
+        """A chunk holding a graph with n < 3 and a disconnected graph
+        raises for whichever comes first in input order."""
+        short = path(2)
+        disconnected = build(4, [(0, 1), (2, 3)])
+        faults = [short, disconnected] if first == "n < 3" else [disconnected, short]
+        ok = list(connected_graphs(5))
+        graphs = [*ok[:5], faults[0], *ok[5:10], faults[1], *ok[10:]]
+        assert len(graphs) < verify_mod.CHUNK
+        if first == "n < 3":
+            raises = pytest.raises(ValueError, match=r"^checks need n >= 3, got n=2$")
+        else:
+            raises = pytest.raises(DisconnectedError, match="graph is disconnected")
+        with raises:
+            run_suite(graphs, jobs=jobs)
+        with raises:
+            for g in graphs:
+                check_graph(g)
 
 
 class TestReportData:
