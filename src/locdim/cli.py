@@ -12,7 +12,7 @@ import sys
 from collections.abc import Iterable
 
 from . import verify as verify_mod
-from .dimension import MODES, _value, local_metric_dimension, lower_bounds, metric_dimension
+from .dimension import MODES, _floors, _value, local_metric_dimension, metric_dimension
 from .enumeration import (
     CANONICAL_MAX_VERTICES,
     CONNECTED_CLASS_COUNTS,
@@ -124,8 +124,9 @@ def _cmd_dim(args) -> int:
             bounds, value = result.bounds, result.value
             tail = " witness=" + (",".join(map(str, result.witness)) or "-")
         else:
-            bounds = lower_bounds(g)
+            # the masks refuse a disconnected graph before the floors
             value = _value(g, args.mode)
+            bounds = _floors(g)
             tail = ""
         print(
             f"id={name} n={g.n} m={g.m} omega={bounds.omega}"

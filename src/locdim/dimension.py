@@ -79,8 +79,15 @@ class DimResult(NamedTuple):
 
 
 def lower_bounds(g: Graph) -> LowerBounds:
+    """The floors; a disconnected graph raises DisconnectedError. Solves
+    and the sweep call _floors after the masks, whose walk refuses it."""
     if not is_connected(g):
         raise DisconnectedError("distances undefined: graph is disconnected")
+    return _floors(g)
+
+
+def _floors(g: Graph) -> LowerBounds:
+    """lower_bounds for a graph _distinguisher_masks has already accepted."""
     omega = clique_number(g)
     return LowerBounds(
         twin=g.n - twin_partition(g).class_count,
@@ -209,10 +216,10 @@ def _value(g: Graph, mode: str) -> int:
 
 def _solve(g: Graph, mode: str) -> DimResult:
     """The dimension in `mode`, its witness and the graph's floors. The
-    floors are computed beside the value, never fed to its search, and
-    lower_bounds rejects a disconnected graph."""
-    bounds = lower_bounds(g)
+    masks come first, and their walk rejects a disconnected graph; the
+    floors are computed beside the value, never fed to its search."""
     masks = _distinguisher_masks(g, mode)
+    bounds = _floors(g)
     found = kernels.min_hitting_set(g.n, masks)
     mask = kernels.lex_min_hitting_set(g.n, masks, found)
     for i, c in enumerate(masks):

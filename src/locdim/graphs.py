@@ -41,8 +41,9 @@ def _check_order(n: int) -> None:
 class Graph:
     """Undirected simple graph; adj[v] is the open-neighborhood bitmask.
 
-    Immutable: both fields are checked once, here, adj is stored as a
-    tuple, and assignment is refused. Equality and hashing go by (n, adj).
+    Immutable: both fields are checked once, here, the rows by one scan
+    that raises for the first fault in row order; adj is stored as a tuple,
+    assignment is refused, and equality and hashing go by (n, adj).
     Rows that are valid by construction skip the checks through
     _trusted_graph: those decoded from triangle bits, and a pickle, which
     holds just (n, adj), when it is loaded (in a pool worker, say).
@@ -57,8 +58,7 @@ class Graph:
         # make every later attribute read take the slower dict path
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
-        if not self._rows_valid():
-            self._raise_first_fault()
+        self._check_rows()
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -80,38 +80,22 @@ class Graph:
     def __reduce__(self):
         return _trusted_graph, (self.n, self.adj)
 
-    def _rows_valid(self) -> bool:
-        """Rows in range, no self-loop, symmetric; each edge is looked at
-        once. Every bit above the diagonal has its mirror below it, so the
-        lower half holds at least as many bits as the upper, and exactly as
-        many only when it holds nothing else."""
+    def _check_rows(self) -> None:
+        """Scan every row in order and raise for the first fault found: a
+        vertex out of range, a self-loop, or a neighbor whose row lacks v."""
         adj = self.adj
         full = (1 << self.n) - 1
-        upper = total = 0
         for v, row in enumerate(adj):
-            if row & ~full or (row >> v) & 1:
-                return False
-            high = row >> v << v  # the bits above the diagonal
-            upper += high.bit_count()
-            total += row.bit_count()
-            while high:
-                low = high & -high
-                if not (adj[low.bit_length() - 1] >> v) & 1:
-                    return False
-                high ^= low
-        return 2 * upper == total
-
-    def _raise_first_fault(self) -> None:
-        """Scan every row in order and raise for the first fault found."""
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
             if row & ~full:
                 raise ValueError(f"adjacency row {v} mentions a vertex >= {self.n}")
-            if (row >> v) & 1:
+            if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            for u in bit_indices(row):
-                if not (self.adj[u] >> v) & 1:
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
 
     @functools.cached_property
     def m(self) -> int:

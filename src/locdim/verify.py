@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple
 
-from .dimension import _value, _values, lower_bounds
+from .dimension import _floors, _value, _values, lower_bounds
 from .enumeration import CANONICAL_MAX_VERTICES, canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
 from .graphs import MAX_VERTICES, Graph, bit_indices, is_bipartite, to_graph6
@@ -80,12 +80,24 @@ class GraphFacts:
     """Everything the checks consult about one graph, computed once.
     GraphFacts(g) is the one-graph chunk of _chunk_facts. The value is
     solved from the constraints alone, so C4 and C5 test the floors in
-    `bounds` against it. Only gamma_free waits for its first read: the
-    checks read it only when omega = n-2, and it costs two embedding
-    searches."""
+    `bounds` against it; omega and what derives from it are read off
+    `bounds`. Only gamma_free waits for its first read: the checks read it
+    only when omega = n-2, and it costs two embedding searches."""
 
     def __new__(cls, g: Graph) -> GraphFacts:
         return _chunk_facts([g])[0]
+
+    @property
+    def omega(self) -> int:
+        return self.bounds.omega
+
+    @property
+    def is_complete(self) -> bool:
+        return self.bounds.omega == self.n
+
+    @property
+    def triangle_free(self) -> bool:
+        return self.bounds.omega <= 2
 
     @functools.cached_property
     def gamma_free(self) -> bool:
@@ -102,12 +114,12 @@ class GraphFacts:
 
 def _chunk_facts(graphs: Sequence[Graph]) -> list[GraphFacts]:
     """The facts of each graph, one layer over the whole chunk before the
-    next: floors, graph ids, local values, bipartiteness, the split test. The
-    floors come first, so a disconnected graph raises DisconnectedError
-    there, before any other work on the chunk."""
-    bounds = list(map(lower_bounds, graphs))
-    graph_ids = list(map(_graph_id, graphs))
+    next: local values, floors, graph ids, bipartiteness, the split test.
+    The values come first, and every mask before any search, so a
+    disconnected graph raises DisconnectedError from the masks' walk."""
     values = _values(graphs, "local")
+    bounds = list(map(_floors, graphs))
+    graph_ids = list(map(_graph_id, graphs))
     bipartite = list(map(is_bipartite, graphs))
     split = list(map(complete_minus_bipartite_params, graphs))
     new = object.__new__
@@ -121,10 +133,6 @@ def _chunk_facts(graphs: Sequence[Graph]) -> list[GraphFacts]:
         f.bounds = b
         # the value alone: no check reads a witness
         f.dim_local = dim_local
-        # read off the clique number the floors already computed
-        f.omega = omega = b.omega
-        f.is_complete = omega == n
-        f.triangle_free = omega <= 2
         f.graph_id = graph_id
         f.bipartite = bip
         # the 5-cycle is the only connected 2-regular graph on 5 vertices
@@ -291,7 +299,7 @@ def check_graph(g: Graph, checks: Sequence[str] | None = None) -> TheoremReport:
     return _check_chunk([g], normalize_checks(checks))[0]
 
 
-# (check functions, every fact a check reads) -> (applicable, holds,
+# (check functions, every primary fact a check reads) -> (applicable, holds,
 # details). The checks are pure functions of those facts, and a sweep meets
 # few distinct patterns of them (32 over the order-8 classes), so each
 # pattern is evaluated once. The functions are part of the key, so a check
@@ -306,20 +314,18 @@ def _check_chunk(graphs: Sequence[Graph], ids: tuple[str, ...]) -> list[TheoremR
     the first faulty graph in input order, as one graph at a time would."""
     for i, g in enumerate(graphs):
         if g.n < 3:
-            # a disconnected graph before it raises from its floors first
+            # a disconnected graph before it raises from its masks first
             _chunk_facts(graphs[:i])
             raise ValueError(f"checks need n >= 3, got n={g.n}")
     checks = tuple(map(CHECKS.__getitem__, ids))
     reports = []
     for facts in _chunk_facts(graphs):
-        n, omega, bounds = facts.n, facts.omega, facts.bounds
+        n, bounds = facts.n, facts.bounds
         key = (
-            checks, n, facts.dim_local, omega,
-            bounds.log_clique, bounds.gap_raw, bounds.twin,
-            facts.is_complete, facts.triangle_free, facts.bipartite,
-            facts.is_cycle5, facts.is_split_extremal,
+            checks, n, facts.dim_local, bounds,
+            facts.bipartite, facts.is_cycle5, facts.is_split_extremal,
             # the checks read gamma_free only when n >= 5 and omega = n-2
-            n >= 5 and omega == n - 2 and facts.gamma_free,
+            n >= 5 and bounds.omega == n - 2 and facts.gamma_free,
         )
         verdict = _VERDICTS.get(key)
         if verdict is None:

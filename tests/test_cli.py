@@ -64,12 +64,16 @@ class TestDim:
         assert code == 0
         assert "value=0 witness=-" in out
 
-    def test_disconnected_input(self, capsys, tmp_path):
+    @pytest.mark.parametrize("witness", [[], ["--witness"]], ids=["value", "witness"])
+    @pytest.mark.parametrize("mode", ["local", "full"])
+    def test_disconnected_input(self, capsys, tmp_path, mode, witness):
+        # every solve path refuses it from the same walk, with the same words
         target = tmp_path / "disc.g6"
         target.write_text("A?\n")  # two isolated vertices
-        code, _, err = run_cli(capsys, "dim", "--input", str(target))
+        code, out, err = run_cli(capsys, "dim", "--input", str(target), "--mode", mode, *witness)
         assert code == 2
-        assert "disconnected" in err
+        assert out == ""
+        assert err == "error: distances undefined: graph is disconnected\n"
 
     def test_malformed_input_names_the_line(self, capsys, tmp_path):
         target = tmp_path / "bad.g6"

@@ -225,7 +225,7 @@ class TestValueSemantics:
         def refuse(self):
             raise AssertionError("an unpickled graph was validated again")
 
-        monkeypatch.setattr(Graph, "_rows_valid", refuse)
+        monkeypatch.setattr(Graph, "_check_rows", refuse)
         back = pickle.loads(data)
         assert back == g and hash(back) == hash(g) and back.m == 7
         with pytest.raises(AttributeError):
@@ -305,7 +305,8 @@ class TestGraph6:
         g = graph_from_triangle_bits(n, bits)
         checked = Graph(n, triangle_rows_by_pairs(n, bits))
         assert g == checked and hash(g) == hash(checked)
-        assert type(g.adj) is tuple and g._rows_valid()
+        assert type(g.adj) is tuple
+        g._check_rows()  # raises for a faulty row
 
     def test_triangle_bits_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -1,7 +1,11 @@
 """Each verb computes each answer once.
 
 The clique number and the true-twin partition are computed once per
-graph: by dimension.lower_bounds, whose LowerBounds every consumer reads.
+graph: by the floors, whose LowerBounds every consumer reads.
+Connectivity is tested once per graph too: solves and the sweep build the
+distinguisher masks first, whose walk refuses a disconnected graph, and
+only the public lower_bounds and scan's gate, which calls it, run
+graphs.is_connected. The sweep and the solves build no checked Graph.
 The sweep, and `dim` without --witness, solve each graph with one
 hitting-set call and never rebuild a witness, a suite run normalizes its
 check ids once, and the human verify report collects its violations once.
@@ -16,18 +20,21 @@ induced search per gamma and reads gamma-freeness off the two, and
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
+from conftest import random_connected
 
 import locdim.kernels
-from locdim import dimension, invariants, verify
+from locdim import dimension, invariants, pattern, verify
 from locdim.cli import main
-from locdim.enumeration import connected_graphs
+from locdim.enumeration import connected_graphs, read_corpus
 from locdim.families import from_spec
-from locdim.graphs import to_graph6
+from locdim.graphs import Graph, is_connected, to_graph6
 from locdim.pattern import is_gamma_free
 from locdim.verify import (
+    GraphFacts,
     check_graph,
     family_split_table,
     problem1_refutation,
@@ -48,18 +55,22 @@ def _counted(tally: dict[str, int], name: str, fn):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Call counters on kernels.max_clique and on twin_partition in every
-    locdim module whose own namespace holds it. The package resolves the
-    name lazily from invariants, so it sees the wrapper without a patch."""
-    tally = {"max_clique": 0, "twin_partition": 0}
+    """Call counters on kernels.max_clique, and on twin_partition and
+    is_connected in every locdim module whose own namespace holds them.
+    The package resolves these names lazily from their modules, so it sees
+    the wrappers without a patch."""
+    tally = {"max_clique": 0, "twin_partition": 0, "is_connected": 0}
     monkeypatch.setattr(
         locdim.kernels, "max_clique", _counted(tally, "max_clique", locdim.kernels.max_clique)
     )
-    original = invariants.twin_partition
-    wrapped = _counted(tally, "twin_partition", original)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("locdim") and vars(module).get("twin_partition") is original:
-            monkeypatch.setattr(module, "twin_partition", wrapped)
+    for name, original in [
+        ("twin_partition", invariants.twin_partition),
+        ("is_connected", is_connected),
+    ]:
+        wrapped = _counted(tally, name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("locdim") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapped)
     return tally
 
 
@@ -67,23 +78,55 @@ def test_check_graph_computes_each_once(counts):
     graphs = list(connected_graphs(5))
     for g in graphs:
         check_graph(g)
-    assert counts == {"max_clique": len(graphs), "twin_partition": len(graphs)}
+    n = len(graphs)
+    assert counts == {"max_clique": n, "twin_partition": n, "is_connected": 0}
+
+
+def test_suite_and_facts_compute_each_once(counts):
+    stream = list(connected_graphs(6))
+    n = len(stream)
+    assert run_suite(stream).graph_count == n
+    assert counts == {"max_clique": n, "twin_partition": n, "is_connected": 0}
+    for g in stream:
+        GraphFacts(g)
+    assert counts == {"max_clique": 2 * n, "twin_partition": 2 * n, "is_connected": 0}
+
+
+@pytest.mark.parametrize("solve", [dimension.local_metric_dimension, dimension.metric_dimension])
+def test_solve_computes_each_once_and_tests_no_connectivity(counts, solve):
+    stream = list(connected_graphs(5))
+    for g in stream:
+        solve(g)
+    n = len(stream)
+    assert counts == {"max_clique": n, "twin_partition": n, "is_connected": 0}
+
+
+def test_lower_bounds_tests_connectivity_once_per_call(counts):
+    stream = list(connected_graphs(5))
+    for g in stream:
+        dimension.lower_bounds(g)
+        dimension.lower_bounds(g)
+    n = 2 * len(stream)
+    assert counts == {"max_clique": n, "twin_partition": n, "is_connected": n}
 
 
 @pytest.mark.parametrize("mode", ["local", "full"])
 def test_dim_computes_each_once_per_line(counts, capsys, tmp_path, mode):
     target = tmp_path / "order5.g6"
     target.write_text("".join(to_graph6(g) + "\n" for g in connected_graphs(5)))
-    assert main(["dim", "--input", str(target), "--mode", mode]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 21
-    assert counts == {"max_clique": 21, "twin_partition": 21}
+    # without the witness, then with it: 21 lines each
+    for extra in ([], ["--witness"]):
+        assert main(["dim", "--input", str(target), "--mode", mode, *extra]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 21
+    assert counts == {"max_clique": 42, "twin_partition": 42, "is_connected": 0}
 
 
 def test_scan_computes_each_once(counts):
     graphs = list(connected_graphs(5))
     assert scan_clique_ratio(graphs).total == len(graphs)
-    assert counts == {"max_clique": len(graphs), "twin_partition": len(graphs)}
+    n = len(graphs)
+    assert counts == {"max_clique": n, "twin_partition": n, "is_connected": n}
 
 
 @pytest.fixture
@@ -154,7 +197,7 @@ def test_family_tools_solve_each_member_once_for_the_value(counts, solves):
     members = len(problem1_refutation(5).rows) + len(family_split_table(7).rows)
     assert members == 4 + 22
     assert solves == {"rebuilds": 0, "floors": [0] * members}
-    assert counts == {"max_clique": 0, "twin_partition": 0}
+    assert counts == {"max_clique": 0, "twin_partition": 0, "is_connected": 0}
 
 
 NAMED_HOSTS = ["gamma1", "gamma2", "knm(9,4,2)", "upsilon(7)", "lambda", "apex(4)"]
@@ -216,3 +259,38 @@ def test_human_verify_collects_the_violations_once(monkeypatch, capsys):
     assert main(["verify", "--gen", "5"]) == 0
     assert "violations: none" in capsys.readouterr().out
     assert tally == {"violations": 1}
+
+
+def _refuse_checked_graphs(monkeypatch):
+    """Graph.__init__ raises from here on, once the gamma patterns, the one
+    checked construction a sweep may need, are cached. A raise reaches the
+    parent from a forked pool worker too, where a counter would not."""
+    pattern._gamma_patterns()
+
+    def refuse(self, n, adj):
+        raise AssertionError("a hot path built a checked Graph")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+
+
+def test_suite_builds_no_checked_graph(monkeypatch):
+    _refuse_checked_graphs(monkeypatch)
+    assert run_suite(connected_graphs(7)).graph_count == 853
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_corpus_suite_builds_no_checked_graph(monkeypatch, tmp_path, jobs):
+    rng = random.Random(28)
+    lines = [to_graph6(g.relabel(rng.sample(range(7), 7))) for g in connected_graphs(7)]
+    target = tmp_path / "order7.g6"
+    target.write_text("\n".join(lines) + "\n")
+    _refuse_checked_graphs(monkeypatch)
+    corpus = read_corpus(target, strict=True)
+    assert run_suite(corpus.graphs, jobs=jobs).graph_count == 853
+
+
+@pytest.mark.parametrize("solve", [dimension.local_metric_dimension, dimension.metric_dimension])
+def test_dense_solve_builds_no_checked_graph(monkeypatch, solve):
+    g = random_connected(random.Random(0), 24, 0.9)
+    _refuse_checked_graphs(monkeypatch)
+    assert solve(g).value > 0

@@ -48,19 +48,20 @@ def _on_facts(mutate):
 
 
 def _bounds_off(field, delta):
-    """lower_bounds reports `field` off by delta: a floor too high, or a
+    """The floors report `field` off by delta: a floor too high, or a
     wrong clique number, which the facts read off it (complete,
-    triangle-free) inherit. Planted where the floors come from, so a value
-    search that trusted them would be misled too."""
+    triangle-free) inherit. Planted where the suite's floors come from
+    (verify._floors), so a value search that trusted them would be misled
+    too."""
 
     def install(monkeypatch):
-        real = verify.lower_bounds
+        real = verify._floors
 
         def planted(g):
             bounds = real(g)
             return bounds._replace(**{field: getattr(bounds, field) + delta})
 
-        monkeypatch.setattr(verify, "lower_bounds", planted)
+        monkeypatch.setattr(verify, "_floors", planted)
 
     return install
 
