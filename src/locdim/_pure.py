@@ -391,6 +391,9 @@ def _blocks(n: int, adj: Sequence[int], twins: Sequence[int]) -> list[int]:
             done |= bit
 
     expand(0, 0, lowest, 0)
+    # expand refers to itself through its closure: unbound, the cycle goes
+    # with the frame, not at the next collection
+    del expand
     return found
 
 
@@ -541,6 +544,8 @@ def _least_string(n: int, adj: Sequence[int], own: int) -> int:
     for block in blocks:
         if defer(alpha, 0, [(block, alpha)], everyone ^ block):
             break
+    # rec and defer refer to each other through their closures (see _blocks)
+    del rec, defer
     return best
 
 
@@ -671,4 +676,7 @@ def induced_embedding(
     start = [
         sum(1 << h for h in range(host_n) if host_deg[h] >= pat_deg[p]) for p in order
     ]
-    return tuple(assign) if rec(0, start) else None
+    found = rec(0, start)
+    # rec refers to itself through its closure (see _blocks)
+    del rec
+    return tuple(assign) if found else None

@@ -6,16 +6,25 @@ of W. Since each endpoint distinguishes its own edge, W locally resolves iff
 it hits every edge's distinguisher set, so the dimension is an exact minimum
 hitting set over those sets. The ordinary metric dimension is the same
 construction over all vertex pairs instead of edges.
+
+A graph's distinguisher masks come from its own breadth-first layers. The
+sweep builds them a chunk of graphs at a time instead: each graph's rows
+sit in one field of a shared int, so one shift, AND, multiply and OR steps
+a frontier in every graph of the chunk at once (the bit-parallel BFS of
+Akiba, Iwata and Yoshida's pruned landmark labeling, one graph per field).
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from . import kernels
 from .graphs import (
+    MAX_VERTICES,
     DisconnectedError,
     DistanceMatrix,
     Graph,
@@ -201,12 +210,128 @@ def _distinguisher_masks(g: Graph, mode: str) -> list[int]:
     return masks
 
 
-def _values(graphs: Sequence[Graph], mode: str) -> list[int]:
-    """The dimension in `mode` of each connected graph alone, one kernel
-    call each and no witness: every graph's masks, then every search."""
-    masks = [_distinguisher_masks(g, mode) for g in graphs]
+# array typecode of each field width in bits
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+# _FIELD_WIDTH[n]: the least of 8, 16, 32 and 64 that holds n bits
+_FIELD_WIDTH = tuple(
+    8 if n <= 8 else 16 if n <= 16 else 32 if n <= 32 else 64 for n in range(MAX_VERTICES + 1)
+)
+
+
+def _chunk_masks(graphs: Sequence[Graph], mode: str) -> list[list[int]]:
+    """_distinguisher_masks of every graph of a chunk; any disconnected
+    graph raises DisconnectedError.
+
+    The graphs that need the same field width share one bit-sliced walk
+    (_sliced_masks), so one large graph does not widen, and lengthen, the
+    walk of many small ones: one shared walk over a 62-vertex graph and
+    255 of order 8 measured about 7 times slower than a walk per graph."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        groups.setdefault(_FIELD_WIDTH[g.n], []).append(i)
+    if len(groups) == 1:
+        [width] = groups
+        return _sliced_masks(graphs, mode, width)
+    masks: list[list[int]] = [[] for _ in graphs]
+    for width, members in groups.items():
+        group = [graphs[i] for i in members]
+        for i, built in zip(members, _sliced_masks(group, mode, width)):
+            masks[i] = built
+    return masks
+
+
+def _sliced_masks(graphs: Sequence[Graph], mode: str, width: int) -> list[list[int]]:
+    """The masks of a non-empty chunk of graphs of order at most width,
+    from one bit-sliced walk.
+
+    Graph i owns field i of every int, `width` bits wide, so adj[v] packs
+    row v of every graph and full each graph's vertex set. For a source u
+    the frontier steps in every graph at once: a vertex v live in some
+    graph's frontier spreads the field-start bits of those graphs over
+    their whole fields (times 2**width - 1, which carries into no
+    neighbor) and ANDs them with adj[v]. Pair (u, v) then ORs the
+    layer intersections once for the whole chunk, and the AND with the
+    pair's selector keeps the fields of the graphs that have the pair (an
+    edge in local mode, v below their order in full mode), each holding
+    that graph's mask. The masks go out through one array, pair by pair
+    with graph i at offset i; a graph's nonzero entries in pair order are
+    its masks, since a pair's endpoints are in its own mask.
+    """
+    count = len(graphs)
+    top = max(g.n for g in graphs)
+    code = _FIELD_CODES[width]
+    order = sys.byteorder
+    size = count * width // 8
+    field = (1 << width) - 1
+    ones = int.from_bytes(array(code, [1]) * count, order)
+    full = int.from_bytes(array(code, [(1 << g.n) - 1 for g in graphs]), order)
+    pad = (0,) * top
+    rows = array(code, itertools.chain.from_iterable(g.adj + pad[g.n :] for g in graphs))
+    adj = [int.from_bytes(rows[v::top], order) for v in range(top)]
+    # alive[v]: the whole field of every graph with a vertex v
+    alive = [(full >> v & ones) * field & full for v in range(top)]
+    layers = []
+    for u in range(top):
+        seen = frontier = full & ones << u
+        by_distance = [frontier]
+        while True:
+            nxt = 0
+            for v, row in enumerate(adj):
+                live = frontier >> v & ones
+                if live:
+                    nxt |= live * field & row
+            frontier = nxt & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            by_distance.append(frontier)
+        # every graph has a vertex 0, and a graph that source 0 spans is
+        # connected, so this one test covers the whole chunk
+        if not u and seen != full:
+            raise DisconnectedError("distances undefined: graph is disconnected")
+        layers.append(by_distance)
+    local = mode == "local"
+    pieces = []
+    for u in range(top - 1):
+        lu = layers[u]
+        row = adj[u]
+        for v in range(u + 1, top):
+            if local:
+                chosen = row >> v & ones
+                if not chosen:
+                    continue
+                chosen = chosen * field & full
+            else:
+                chosen = alive[v]
+            same = 0
+            for a, b in zip(lu, layers[v]):
+                same |= a & b
+            pieces.append((chosen ^ same & chosen).to_bytes(size, order))
+    table = array(code, b"".join(pieces))
+    return [list(filter(None, table[i::count])) for i in range(count)]
+
+
+def _masks(graphs: Sequence[Graph], mode: str) -> list[list[int]]:
+    """The masks of each graph: one bit-sliced walk for a chunk of two or
+    more, the one-graph walk for one, which measured faster alone."""
+    if len(graphs) > 1:
+        return _chunk_masks(graphs, mode)
+    return [_distinguisher_masks(g, mode) for g in graphs]
+
+
+def _minima(graphs: Sequence[Graph], masks: Sequence[list[int]]) -> list[int]:
+    """The size of a minimum hitting set of each graph's masks, one kernel
+    call each and no witness."""
     solve = kernels.min_hitting_set
     return [solve(g.n, m).bit_count() for g, m in zip(graphs, masks)]
+
+
+def _values(graphs: Sequence[Graph], mode: str) -> list[int]:
+    """The dimension in `mode` of each connected graph alone: every graph's
+    masks, then every search."""
+    return _minima(graphs, _masks(graphs, mode))
 
 
 def _value(g: Graph, mode: str) -> int:

@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple
 
-from .dimension import _floors, _value, _values, lower_bounds
+from .dimension import _floors, _masks, _minima, _value, _values
 from .enumeration import CANONICAL_MAX_VERTICES, canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
 from .graphs import MAX_VERTICES, Graph, bit_indices, is_bipartite, to_graph6
@@ -115,8 +115,10 @@ class GraphFacts:
 def _chunk_facts(graphs: Sequence[Graph]) -> list[GraphFacts]:
     """The facts of each graph, one layer over the whole chunk before the
     next: local values, floors, graph ids, bipartiteness, the split test.
-    The values come first, and every mask before any search, so a
-    disconnected graph raises DisconnectedError from the masks' walk."""
+    The values come first, and every mask before any search: a chunk of
+    two or more builds its masks in bit-sliced walks, one per field width
+    (dimension._chunk_masks), and those walks, or a lone graph's own,
+    raise DisconnectedError for a disconnected graph."""
     values = _values(graphs, "local")
     bounds = list(map(_floors, graphs))
     graph_ids = list(map(_graph_id, graphs))
@@ -605,9 +607,10 @@ def scan_clique_ratio(
     meeting the n >= omega+1 >= 4 gate; omega_values optionally narrows the
     clique numbers scanned, and a requested omega below 3, which the gate
     never lets through, raises ValueError before any graph is read. A chunk
-    at a time, the gate reads omega from every graph's lower_bounds, and
-    only graphs that pass it are solved, for the value alone and without
-    those bounds."""
+    at a time, every graph's masks come first, and their walk rejects a
+    disconnected graph; the gate then reads omega from each graph's floors,
+    and only graphs that pass it are solved, from the masks already built,
+    for the value alone and without those floors."""
     wanted = None if omega_values is None else set(omega_values)
     if wanted and min(wanted) < 3:
         raise ValueError(f"need omega >= 3, got {min(wanted)}")
@@ -616,14 +619,15 @@ def scan_clique_ratio(
     violations = []
     for chunk in _chunks(graphs):
         total += len(chunk)
+        masks = _masks(chunk, "local")
         gated = [
-            (g, b.omega)
-            for g, b in zip(chunk, map(lower_bounds, chunk))
+            (g, m, b.omega)
+            for g, m, b in zip(chunk, masks, map(_floors, chunk))
             if 3 <= b.omega < g.n and (wanted is None or b.omega in wanted)
         ]
         applicable += len(gated)
-        values = _values([g for g, _ in gated], "local")
-        for (g, omega), dim_local in zip(gated, values):
+        values = _minima([g for g, _, _ in gated], [m for _, m, _ in gated])
+        for (g, _, omega), dim_local in zip(gated, values):
             holds, details = _clique_ratio(dim_local, omega, g.n)
             if not holds:
                 violations.append((_graph_id(g), details))

@@ -7,6 +7,7 @@ one conftest builds from src/locdim/_speedups.c for this session.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import subprocess
@@ -288,3 +289,49 @@ def test_induced_embedding_agreement(compiled):
             assert _pure.induced_embedding(62, host, pn, pat) == compiled.induced_embedding(
                 62, host, pn, pat
             )
+
+
+PURE_KERNEL_CALLS = [
+    "max_clique",
+    "min_hitting_set",
+    "lex_min_hitting_set",
+    "canonical_bits",
+    "is_canonical",
+    "induced_embedding",
+    "induced_embedding_none",
+]
+
+
+def _pure_kernel_calls():
+    """One call of each pure kernel, on an input that reaches its search."""
+    g = random_connected(random.Random(SEED + 4), 9, 0.5)
+    masks = distinguisher_sets(g).masks()
+    found = _pure.min_hitting_set(g.n, masks)
+    host, pattern = complete(4), build(3, [(0, 1), (1, 2)])
+    return {
+        "max_clique": lambda: _pure.max_clique(g.n, g.adj),
+        "min_hitting_set": lambda: _pure.min_hitting_set(g.n, masks),
+        "lex_min_hitting_set": lambda: _pure.lex_min_hitting_set(g.n, masks, found),
+        "canonical_bits": lambda: _pure.canonical_bits(g.n, g.adj),
+        "is_canonical": lambda: _pure.is_canonical(g.n, g.adj, triangle_bits(g.n, g.adj)),
+        "induced_embedding": lambda: _pure.induced_embedding(gamma1().n, gamma1().adj, 3, pattern.adj),
+        "induced_embedding_none": lambda: _pure.induced_embedding(host.n, host.adj, 3, pattern.adj),
+    }
+
+
+@pytest.mark.parametrize("kernel", PURE_KERNEL_CALLS)
+def test_pure_kernels_leave_no_reference_cycle(kernel):
+    """A recursive closure refers to itself, so a kernel that kept one
+    bound at return would leave a cycle that only the cyclic collector
+    frees; with it disabled, one call leaves nothing to collect."""
+    calls = _pure_kernel_calls()
+    assert list(calls) == PURE_KERNEL_CALLS
+    call = calls[kernel]
+    gc.collect()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

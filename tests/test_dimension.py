@@ -3,6 +3,7 @@ values, and agreement with the all-subsets definition."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -24,6 +25,7 @@ import locdim.kernels
 from locdim import _pure
 from locdim.dimension import (
     LowerBounds,
+    _chunk_masks,
     _distinguisher_masks,
     _value,
     distinguisher_sets,
@@ -169,12 +171,83 @@ class TestDistanceLayerMasks:
             raise AssertionError("graphs._layers called")
 
         monkeypatch.setattr(locdim.graphs, "_layers", broken)
-        for g in hosts:
-            assert _distinguisher_masks(g, mode) == [m for _, m in _oracle_constraints(g, mode)]
+        expected = [[m for _, m in _oracle_constraints(g, mode)] for g in hosts]
+        assert [_distinguisher_masks(g, mode) for g in hosts] == expected
+        # the chunk builder too, over the whole mixed-order host list
+        assert _chunk_masks(hosts, mode) == expected
+        disconnected = build(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedError):
-            _distinguisher_masks(build(4, [(0, 1), (2, 3)]), mode)
+            _distinguisher_masks(disconnected, mode)
+        with pytest.raises(DisconnectedError):
+            _chunk_masks([cycle(5), disconnected], mode)
         with pytest.raises(AssertionError, match="_layers"):
             bfs_distances(cycle(5))
+
+
+@functools.lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[Graph, ...]:
+    return tuple(connected_graphs(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _walked(n: int, mode: str) -> list[list[int]]:
+    """The one-graph walk's masks of every class of order n."""
+    return [_distinguisher_masks(g, mode) for g in _classes(n)]
+
+
+DISCONNECTED = "^distances undefined: graph is disconnected$"
+
+
+class TestChunkMasks:
+    """The bit-sliced chunk builder against the one-graph walk: same masks
+    in the same order, and the same errors."""
+
+    @pytest.mark.parametrize("mode", ["local", "full"])
+    @pytest.mark.parametrize("size", [2, 256, None], ids=["2", "256", "order"])
+    def test_every_class_up_to_order_eight(self, mode, size):
+        for n in range(1, 9):
+            graphs = _classes(n)
+            step = size or len(graphs)
+            built = []
+            for i in range(0, len(graphs), step):
+                built += _chunk_masks(graphs[i : i + step], mode)
+            assert built == _walked(n, mode), n
+
+    @pytest.mark.parametrize("mode", ["local", "full"])
+    def test_mixed_orders_at_every_field_width(self, mode):
+        # a chunk's largest order sets its fields to 8, 16, 32 or 64 bits:
+        # each top sits at one end of one of those ranges
+        rng = random.Random(62)
+        for top in (2, 8, 9, 16, 17, 32, 33, 62):
+            graphs = [random_connected(rng, top, rng.uniform(0.05, 0.9))]
+            graphs += [
+                random_connected(rng, rng.randint(1, top), rng.uniform(0.05, 0.9))
+                for _ in range(11)
+            ]
+            rng.shuffle(graphs)
+            assert max(g.n for g in graphs) == top
+            expected = [_distinguisher_masks(g, mode) for g in graphs]
+            assert _chunk_masks(graphs, mode) == expected, top
+
+    @pytest.mark.parametrize("mode", ["local", "full"])
+    @pytest.mark.parametrize("position", [0, 7, 20])
+    @pytest.mark.parametrize(
+        "disconnected",
+        [build(4, [(0, 1), (2, 3)]), build(2, []), build(40, [(0, 1), *((v, v + 1) for v in range(2, 39))])],
+        ids=["order4", "order2", "order40"],
+    )
+    def test_a_disconnected_graph_anywhere_raises(self, mode, position, disconnected):
+        graphs = list(_classes(5))
+        graphs.insert(position, disconnected)
+        with pytest.raises(DisconnectedError, match=DISCONNECTED):
+            _chunk_masks(graphs, mode)
+
+    def test_unknown_mode_raises_before_any_walk(self):
+        # a walk would raise DisconnectedError first
+        graphs = [build(4, [(0, 1), (2, 3)]), cycle(5)]
+        with pytest.raises(ValueError, match=r"^mode must be one of \('local', 'full'\), got 'global'$"):
+            _chunk_masks(graphs, "global")
+        assert _chunk_masks([], "local") == []
 
 
 class TestBounds:

@@ -2,10 +2,9 @@
 
 The clique number and the true-twin partition are computed once per
 graph: by the floors, whose LowerBounds every consumer reads.
-Connectivity is tested once per graph too: solves and the sweep build the
-distinguisher masks first, whose walk refuses a disconnected graph, and
-only the public lower_bounds and scan's gate, which calls it, run
-graphs.is_connected. The sweep and the solves build no checked Graph.
+Connectivity is tested once per graph too: solves, the sweep and scan
+build the distinguisher masks first, whose walk refuses a disconnected
+graph, and only the public lower_bounds runs graphs.is_connected. The sweep and the solves build no checked Graph.
 The sweep, and `dim` without --witness, solve each graph with one
 hitting-set call and never rebuild a witness, a suite run normalizes its
 check ids once, and the human verify report collects its violations once.
@@ -126,7 +125,40 @@ def test_scan_computes_each_once(counts):
     graphs = list(connected_graphs(5))
     assert scan_clique_ratio(graphs).total == len(graphs)
     n = len(graphs)
-    assert counts == {"max_clique": n, "twin_partition": n, "is_connected": n}
+    assert counts == {"max_clique": n, "twin_partition": n, "is_connected": 0}
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Call counters on dimension._chunk_masks, the chunk builder, and
+    dimension._distinguisher_masks, the one-graph walk."""
+    tally = {"chunk": 0, "one_graph": 0}
+    monkeypatch.setattr(
+        dimension, "_chunk_masks", _counted(tally, "chunk", dimension._chunk_masks)
+    )
+    monkeypatch.setattr(
+        dimension,
+        "_distinguisher_masks",
+        _counted(tally, "one_graph", dimension._distinguisher_masks),
+    )
+    return tally
+
+
+def test_sweeps_build_each_chunks_masks_in_one_call(walks):
+    # 853 order-7 classes: three chunks of 256 and one of 85
+    assert run_suite(connected_graphs(7)).graph_count == 853
+    assert walks == {"chunk": 4, "one_graph": 0}
+    assert scan_clique_ratio(connected_graphs(7)).total == 853
+    assert walks == {"chunk": 8, "one_graph": 0}
+    assert verify.dimension_class_audit(7).ok
+    assert walks == {"chunk": 12, "one_graph": 0}
+
+
+def test_one_graph_calls_keep_the_one_graph_walk(walks):
+    for g in connected_graphs(5):
+        check_graph(g)
+        dimension.local_metric_dimension(g)
+    assert walks == {"chunk": 0, "one_graph": 42}
 
 
 @pytest.fixture
