@@ -308,13 +308,15 @@ def _pure_kernel_calls():
     masks = distinguisher_sets(g).masks()
     found = _pure.min_hitting_set(g.n, masks)
     host, pattern = complete(4), build(3, [(0, 1), (1, 2)])
+    gamma = gamma1()
     return {
         "max_clique": lambda: _pure.max_clique(g.n, g.adj),
         "min_hitting_set": lambda: _pure.min_hitting_set(g.n, masks),
         "lex_min_hitting_set": lambda: _pure.lex_min_hitting_set(g.n, masks, found),
         "canonical_bits": lambda: _pure.canonical_bits(g.n, g.adj),
         "is_canonical": lambda: _pure.is_canonical(g.n, g.adj, triangle_bits(g.n, g.adj)),
-        "induced_embedding": lambda: _pure.induced_embedding(gamma1().n, gamma1().adj, 3, pattern.adj),
+        # a path in gamma1 is found; an induced path in a clique is not
+        "induced_embedding": lambda: _pure.induced_embedding(gamma.n, gamma.adj, 3, pattern.adj),
         "induced_embedding_none": lambda: _pure.induced_embedding(host.n, host.adj, 3, pattern.adj),
     }
 

@@ -215,8 +215,9 @@ class TestChunkMasks:
 
     @pytest.mark.parametrize("mode", ["local", "full"])
     def test_mixed_orders_at_every_field_width(self, mode):
-        # a chunk's largest order sets its fields to 8, 16, 32 or 64 bits:
-        # each top sits at one end of one of those ranges
+        # a graph's order sets its field width, 8, 16, 32 or 64 bits, and
+        # each width gets its own walk: each top sits at one end of one of
+        # those ranges, and the smaller graphs fall in the widths below it
         rng = random.Random(62)
         for top in (2, 8, 9, 16, 17, 32, 33, 62):
             graphs = [random_connected(rng, top, rng.uniform(0.05, 0.9))]
@@ -233,7 +234,11 @@ class TestChunkMasks:
     @pytest.mark.parametrize("position", [0, 7, 20])
     @pytest.mark.parametrize(
         "disconnected",
-        [build(4, [(0, 1), (2, 3)]), build(2, []), build(40, [(0, 1), *((v, v + 1) for v in range(2, 39))])],
+        [
+            build(4, [(0, 1), (2, 3)]),
+            build(2, []),
+            build(40, [(0, 1), *((v, v + 1) for v in range(2, 39))]),
+        ],
         ids=["order4", "order2", "order40"],
     )
     def test_a_disconnected_graph_anywhere_raises(self, mode, position, disconnected):
@@ -245,7 +250,8 @@ class TestChunkMasks:
     def test_unknown_mode_raises_before_any_walk(self):
         # a walk would raise DisconnectedError first
         graphs = [build(4, [(0, 1), (2, 3)]), cycle(5)]
-        with pytest.raises(ValueError, match=r"^mode must be one of \('local', 'full'\), got 'global'$"):
+        text = r"^mode must be one of \('local', 'full'\), got 'global'$"
+        with pytest.raises(ValueError, match=text):
             _chunk_masks(graphs, "global")
         assert _chunk_masks([], "local") == []
 

@@ -4,7 +4,8 @@ The clique number and the true-twin partition are computed once per
 graph: by the floors, whose LowerBounds every consumer reads.
 Connectivity is tested once per graph too: solves, the sweep and scan
 build the distinguisher masks first, whose walk refuses a disconnected
-graph, and only the public lower_bounds runs graphs.is_connected. The sweep and the solves build no checked Graph.
+graph, and only the public lower_bounds runs graphs.is_connected. The
+sweep and the solves build no checked Graph.
 The sweep, and `dim` without --witness, solve each graph with one
 hitting-set call and never rebuild a witness, a suite run normalizes its
 check ids once, and the human verify report collects its violations once.
