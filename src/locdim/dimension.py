@@ -7,11 +7,13 @@ it hits every edge's distinguisher set, so the dimension is an exact minimum
 hitting set over those sets. The ordinary metric dimension is the same
 construction over all vertex pairs instead of edges.
 
-A graph's distinguisher masks come from its own breadth-first layers. The
-sweep builds them a chunk of graphs at a time instead: each graph's rows
-sit in one field of a shared int, so one shift, AND, multiply and OR steps
-a frontier in every graph of the chunk at once (the bit-parallel BFS of
-Akiba, Iwata and Yoshida's pruned landmark labeling, one graph per field).
+Every caller gets its masks from _masks, which checks the mode once. A
+lone graph's masks come from its own breadth-first layers. A chunk of two
+or more is grouped by field width and walked once per width: each graph's
+rows sit in one field of a shared int, so one shift, AND, multiply and OR
+steps a frontier in every graph of the group at once (the bit-parallel BFS
+of Akiba, Iwata and Yoshida's pruned landmark labeling, one graph per
+field).
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def lower_bounds(g: Graph) -> LowerBounds:
 
 
 def _floors(g: Graph) -> LowerBounds:
-    """lower_bounds for a graph _distinguisher_masks has already accepted."""
+    """lower_bounds for a graph whose masks _masks has already built."""
     omega = clique_number(g)
     return LowerBounds(
         twin=g.n - twin_partition(g).class_count,
@@ -110,7 +112,7 @@ def distinguisher_sets(g: Graph, mode: str = "local") -> ConstraintSystem:
     """One constraint per edge (local) or per vertex pair (full): the set of
     vertices seeing the two endpoints at different distances. Endpoints
     always belong to their own set, so no constraint is empty."""
-    masks = _distinguisher_masks(g, mode)
+    [masks] = _masks([g], mode)
     pairs = g.edges() if mode == "local" else itertools.combinations(range(g.n), 2)
     return ConstraintSystem(g.n, mode, tuple(map(Constraint, pairs, masks)))
 
@@ -158,8 +160,9 @@ def is_resolving(
 
 
 def _distinguisher_masks(g: Graph, mode: str) -> list[int]:
-    """The masks of distinguisher_sets(g, mode), from distance layers; a
-    disconnected graph raises DisconnectedError.
+    """The masks of distinguisher_sets(g, mode), from distance layers, for
+    a mode _masks has already checked; a disconnected graph raises
+    DisconnectedError.
 
     Frontier expansion over adj gives, for every vertex u, the masks L_u[d]
     of the vertices at distance d from u. A vertex w sees u and v at equal
@@ -168,8 +171,6 @@ def _distinguisher_masks(g: Graph, mode: str) -> list[int]:
     intersections. Pairs come u ascending, then v > u ascending, edges only
     in local mode.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     n = g.n
     adj = g.adj
     full = (1 << n) - 1
@@ -216,30 +217,6 @@ _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 _FIELD_WIDTH = tuple(
     8 if n <= 8 else 16 if n <= 16 else 32 if n <= 32 else 64 for n in range(MAX_VERTICES + 1)
 )
-
-
-def _chunk_masks(graphs: Sequence[Graph], mode: str) -> list[list[int]]:
-    """_distinguisher_masks of every graph of a chunk; any disconnected
-    graph raises DisconnectedError.
-
-    The graphs that need the same field width share one bit-sliced walk
-    (_sliced_masks), so one large graph does not widen, and lengthen, the
-    walk of many small ones: one shared walk over a 62-vertex graph and
-    255 of order 8 measured about 7 times slower than a walk per graph."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    groups: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        groups.setdefault(_FIELD_WIDTH[g.n], []).append(i)
-    if len(groups) == 1:
-        [width] = groups
-        return _sliced_masks(graphs, mode, width)
-    masks: list[list[int]] = [[] for _ in graphs]
-    for width, members in groups.items():
-        group = [graphs[i] for i in members]
-        for i, built in zip(members, _sliced_masks(group, mode, width)):
-            masks[i] = built
-    return masks
 
 
 def _sliced_masks(graphs: Sequence[Graph], mode: str, width: int) -> list[list[int]]:
@@ -314,11 +291,28 @@ def _sliced_masks(graphs: Sequence[Graph], mode: str, width: int) -> list[list[i
 
 
 def _masks(graphs: Sequence[Graph], mode: str) -> list[list[int]]:
-    """The masks of each graph: one bit-sliced walk for a chunk of two or
-    more, the one-graph walk for one, which measured faster alone."""
-    if len(graphs) > 1:
-        return _chunk_masks(graphs, mode)
-    return [_distinguisher_masks(g, mode) for g in graphs]
+    """_distinguisher_masks of each graph, the one way into the walks: an
+    unknown mode raises ValueError before any walk, and a disconnected
+    graph anywhere raises DisconnectedError.
+
+    A lone graph keeps its own walk, which measured faster alone. A larger
+    chunk shares one bit-sliced walk (_sliced_masks) per field width, so
+    one large graph does not widen, and lengthen, the walk of many small
+    ones: one shared walk over a 62-vertex graph and 255 of order 8
+    measured about 7 times slower than a walk per graph."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if len(graphs) == 1:
+        return [_distinguisher_masks(graphs[0], mode)]
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        groups.setdefault(_FIELD_WIDTH[g.n], []).append(i)
+    masks: list[list[int]] = [[] for _ in graphs]
+    for width, members in groups.items():
+        group = [graphs[i] for i in members]
+        for i, built in zip(members, _sliced_masks(group, mode, width)):
+            masks[i] = built
+    return masks
 
 
 def _minima(graphs: Sequence[Graph], masks: Sequence[list[int]]) -> list[int]:
@@ -328,22 +322,17 @@ def _minima(graphs: Sequence[Graph], masks: Sequence[list[int]]) -> list[int]:
     return [solve(g.n, m).bit_count() for g, m in zip(graphs, masks)]
 
 
-def _values(graphs: Sequence[Graph], mode: str) -> list[int]:
-    """The dimension in `mode` of each connected graph alone: every graph's
-    masks, then every search."""
-    return _minima(graphs, _masks(graphs, mode))
-
-
 def _value(g: Graph, mode: str) -> int:
-    """_values of one graph, for callers that read only the value."""
-    return _values([g], mode)[0]
+    """The dimension in `mode` of one connected graph, for callers that
+    read only the value."""
+    return _minima([g], _masks([g], mode))[0]
 
 
 def _solve(g: Graph, mode: str) -> DimResult:
     """The dimension in `mode`, its witness and the graph's floors. The
     masks come first, and their walk rejects a disconnected graph; the
     floors are computed beside the value, never fed to its search."""
-    masks = _distinguisher_masks(g, mode)
+    [masks] = _masks([g], mode)
     bounds = _floors(g)
     found = kernels.min_hitting_set(g.n, masks)
     mask = kernels.lex_min_hitting_set(g.n, masks, found)

@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple
 
-from .dimension import _floors, _masks, _minima, _value, _values
+from .dimension import _floors, _masks, _minima, _value
 from .enumeration import CANONICAL_MAX_VERTICES, canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
 from .graphs import MAX_VERTICES, Graph, bit_indices, is_bipartite, to_graph6
@@ -60,12 +60,13 @@ def _graph_id(g: Graph) -> str:
     return to_graph6(g)
 
 
-# graphs per unit of work: a serial run draws this many at a time, and a
-# pool task is at most this many. Each fact is computed over the whole chunk
-# before the next, which keeps one layer's code and branches hot. Facts and
+# graphs per unit of work: a run draws this many at a time, and each such
+# chunk is one pool task. Each fact is computed over the whole chunk before
+# the next, which keeps one layer's code and branches hot. Facts and
 # verdicts per relabeled order-8 class, in process: graph by graph 153 us
 # pure and 38 compiled; chunks of 8, 132 and 38; chunks of 32 to all 11117,
-# 121-127 and 33-35 (BENCH_27.json)
+# 121-127 and 33-35. Pool wall at jobs=2 over the same classes did not tell
+# chunks of 64 to 1024 apart on either backend (BENCH_27.json)
 CHUNK = 256
 
 
@@ -115,11 +116,9 @@ class GraphFacts:
 def _chunk_facts(graphs: Sequence[Graph]) -> list[GraphFacts]:
     """The facts of each graph, one layer over the whole chunk before the
     next: local values, floors, graph ids, bipartiteness, the split test.
-    The values come first, and every mask before any search: a chunk of
-    two or more builds its masks in bit-sliced walks, one per field width
-    (dimension._chunk_masks), and those walks, or a lone graph's own,
-    raise DisconnectedError for a disconnected graph."""
-    values = _values(graphs, "local")
+    The values come first, and every mask before any search: their walks
+    (dimension._masks) raise DisconnectedError for a disconnected graph."""
+    values = _minima(graphs, _masks(graphs, "local"))
     bounds = list(map(_floors, graphs))
     graph_ids = list(map(_graph_id, graphs))
     bipartite = list(map(is_bipartite, graphs))
@@ -283,9 +282,12 @@ CHECK_IDS: tuple[str, ...] = tuple(CHECKS)
 
 
 def normalize_checks(checks: Iterable[str] | None) -> tuple[str, ...]:
-    """Validate a non-empty check id selection (None: every check), in registry order."""
+    """Validate a non-empty sequence of check ids (None: every check), in
+    registry order; a bare string such as "C1" is refused, not split."""
     if checks is None:
         return CHECK_IDS
+    if isinstance(checks, str):
+        raise ValueError(f"check ids come as a sequence, not the string {checks!r}")
     requested = set()
     for cid in checks:
         if cid not in CHECKS:
@@ -431,38 +433,31 @@ def run_suite(
     """Evaluate checks over a graph stream a chunk at a time, with optional
     process fan-out.
 
-    Each chunk is checked by _check_chunk, one fact over the whole chunk
-    before the next. One job draws the stream a chunk at a time and never
-    holds it whole; more jobs list the input and split it into equal
-    chunks of at most CHUNK graphs, one pool task each. Report order
-    follows the input order whatever the worker count, so to_records
-    output is byte-identical for any `jobs`.
+    _chunks cuts the stream into chunks of CHUNK graphs, each checked by
+    _check_chunk, one fact over the whole chunk before the next. One job
+    draws the stream a chunk at a time and never holds it whole. More jobs
+    list the chunks, since the pool's size needs their count, and map them
+    one task each; an input of one chunk runs in this process. Report order
+    follows the input order whatever the worker count, so to_records output
+    is byte-identical for any `jobs`.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     ids = normalize_checks(checks)
     fn = functools.partial(_check_chunk, ids=ids)
-    if jobs > 1:
-        graphs = list(graphs)
+    chunks = list(_chunks(graphs)) if jobs > 1 else _chunks(graphs)
     started = time.perf_counter()
-    if jobs > 1 and len(graphs) > 1:
+    if jobs > 1 and len(chunks) > 1:
         # imported here: concurrent.futures.process pulls in multiprocessing,
         # which a serial run would pay for on every import of the package
         from concurrent.futures import ProcessPoolExecutor
 
-        # one task per chunk of at most CHUNK graphs, and at least one task
-        # per worker; equal sizes, so no task is a short tail. Pool wall at
-        # jobs=2 over the relabeled order-8 classes did not tell chunks of
-        # 64 to 1024 apart on either backend (BENCH_27.json)
-        tasks = max(-(-len(graphs) // CHUNK), min(jobs, len(graphs)))
-        size = -(-len(graphs) // tasks)
-        chunks = [graphs[i:i + size] for i in range(0, len(graphs), size)]
         # a fork-started pool forks every worker at its first submit, so it
         # gets no more workers than there are chunks
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             reports = tuple(itertools.chain.from_iterable(pool.map(fn, chunks)))
     else:
-        reports = tuple(itertools.chain.from_iterable(map(fn, _chunks(graphs))))
+        reports = tuple(itertools.chain.from_iterable(map(fn, chunks)))
     elapsed = time.perf_counter() - started
     return SuiteReport(source, ids, reports, elapsed)
 
@@ -605,13 +600,15 @@ def scan_clique_ratio(
 ) -> ScanReport:
     """Exact-integer scan of dim_local*(omega-1) <= (omega-2)*n over graphs
     meeting the n >= omega+1 >= 4 gate; omega_values optionally narrows the
-    clique numbers scanned, and a requested omega below 3, which the gate
-    never lets through, raises ValueError before any graph is read. A chunk
-    at a time, every graph's masks come first, and their walk rejects a
-    disconnected graph; the gate then reads omega from each graph's floors,
-    and only graphs that pass it are solved, from the masks already built,
-    for the value alone and without those floors."""
+    clique numbers scanned. An empty selection, or a requested omega below
+    3, which the gate never lets through, raises ValueError before any
+    graph is read. A chunk at a time, every graph's masks come first, and
+    their walk rejects a disconnected graph; the gate then reads omega from
+    each graph's floors, and only graphs that pass it are solved, from the
+    masks already built, for the value alone and without those floors."""
     wanted = None if omega_values is None else set(omega_values)
+    if wanted == set():
+        raise ValueError("no omega values given")
     if wanted and min(wanted) < 3:
         raise ValueError(f"need omega >= 3, got {min(wanted)}")
     total = 0

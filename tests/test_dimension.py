@@ -25,8 +25,8 @@ import locdim.kernels
 from locdim import _pure
 from locdim.dimension import (
     LowerBounds,
-    _chunk_masks,
     _distinguisher_masks,
+    _masks,
     _value,
     distinguisher_sets,
     is_local_resolving,
@@ -173,13 +173,13 @@ class TestDistanceLayerMasks:
         monkeypatch.setattr(locdim.graphs, "_layers", broken)
         expected = [[m for _, m in _oracle_constraints(g, mode)] for g in hosts]
         assert [_distinguisher_masks(g, mode) for g in hosts] == expected
-        # the chunk builder too, over the whole mixed-order host list
-        assert _chunk_masks(hosts, mode) == expected
+        # the mask entry too, over the whole mixed-order host list
+        assert _masks(hosts, mode) == expected
         disconnected = build(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedError):
             _distinguisher_masks(disconnected, mode)
         with pytest.raises(DisconnectedError):
-            _chunk_masks([cycle(5), disconnected], mode)
+            _masks([cycle(5), disconnected], mode)
         with pytest.raises(AssertionError, match="_layers"):
             bfs_distances(cycle(5))
 
@@ -199,8 +199,8 @@ DISCONNECTED = "^distances undefined: graph is disconnected$"
 
 
 class TestChunkMasks:
-    """The bit-sliced chunk builder against the one-graph walk: same masks
-    in the same order, and the same errors."""
+    """The mask entry, _masks, on chunks of graphs against the one-graph
+    walk: same masks in the same order, and the same errors."""
 
     @pytest.mark.parametrize("mode", ["local", "full"])
     @pytest.mark.parametrize("size", [2, 256, None], ids=["2", "256", "order"])
@@ -210,7 +210,7 @@ class TestChunkMasks:
             step = size or len(graphs)
             built = []
             for i in range(0, len(graphs), step):
-                built += _chunk_masks(graphs[i : i + step], mode)
+                built += _masks(graphs[i : i + step], mode)
             assert built == _walked(n, mode), n
 
     @pytest.mark.parametrize("mode", ["local", "full"])
@@ -228,7 +228,7 @@ class TestChunkMasks:
             rng.shuffle(graphs)
             assert max(g.n for g in graphs) == top
             expected = [_distinguisher_masks(g, mode) for g in graphs]
-            assert _chunk_masks(graphs, mode) == expected, top
+            assert _masks(graphs, mode) == expected, top
 
     @pytest.mark.parametrize("mode", ["local", "full"])
     @pytest.mark.parametrize("position", [0, 7, 20])
@@ -245,15 +245,18 @@ class TestChunkMasks:
         graphs = list(_classes(5))
         graphs.insert(position, disconnected)
         with pytest.raises(DisconnectedError, match=DISCONNECTED):
-            _chunk_masks(graphs, mode)
+            _masks(graphs, mode)
 
     def test_unknown_mode_raises_before_any_walk(self):
-        # a walk would raise DisconnectedError first
-        graphs = [build(4, [(0, 1), (2, 3)]), cycle(5)]
+        # a walk would raise DisconnectedError first, on a chunk and on a
+        # lone graph alike
+        disconnected = build(4, [(0, 1), (2, 3)])
         text = r"^mode must be one of \('local', 'full'\), got 'global'$"
         with pytest.raises(ValueError, match=text):
-            _chunk_masks(graphs, "global")
-        assert _chunk_masks([], "local") == []
+            _masks([disconnected, cycle(5)], "global")
+        with pytest.raises(ValueError, match=text):
+            _masks([disconnected], "global")
+        assert _masks([], "local") == []
 
 
 class TestBounds:
@@ -391,7 +394,7 @@ class TestHittingSetValidation:
         assert impl.min_hitting_set(5, [], 0) == 0
 
 
-def _masks(*sets: tuple[int, ...]) -> list[int]:
+def _set_masks(*sets: tuple[int, ...]) -> list[int]:
     return [sum(1 << v for v in elements) for elements in sets]
 
 
@@ -413,8 +416,8 @@ class TestWitnessProbes:
         # greedy takes 1 (two hits, ties to the smaller element), then 2;
         # the packing bound is 1, so the value search runs and finds no
         # single hitter
-        masks = _masks((0, 1, 2), (1, 3), (2, 3))
-        expected = (2, _masks((0, 3))[0])
+        masks = _set_masks((0, 1, 2), (1, 3), (2, 3))
+        expected = (2, _set_masks((0, 3))[0])
         assert naive_hitting_set(4, masks) == expected
         found = kernel.min_hitting_set(4, masks, 0)
         assert_hitting_set(4, masks, found, expected[0])
@@ -423,11 +426,11 @@ class TestWitnessProbes:
     def test_lower_bound_at_the_value_skips_the_value_search(self, kernel):
         # greedy takes {3, 4, 5}, which meets lower_bound 3 (the packing
         # bound is 2), so no value search runs
-        masks = _masks((1, 2, 4), (2, 3, 4), (1, 5), (3, 6), (4, 6), (5, 6))
-        expected = (3, _masks((1, 2, 6))[0])
+        masks = _set_masks((1, 2, 4), (2, 3, 4), (1, 5), (3, 6), (4, 6), (5, 6))
+        expected = (3, _set_masks((1, 2, 6))[0])
         assert naive_hitting_set(7, masks) == expected
         found = kernel.min_hitting_set(7, masks, 3)
-        assert found == _masks((3, 4, 5))[0]
+        assert found == _set_masks((3, 4, 5))[0]
         assert_hitting_set(7, masks, found, expected[0])
         assert kernel.lex_min_hitting_set(7, masks, found) == expected[1]
 
@@ -517,11 +520,11 @@ class TestLexWitnessRebuild:
         no budget-1 probe, since its root returns at once when a greedy
         cover of 2 is all it has to beat; a probe that ran it would
         reject 0, and the scan would end at {1, 2}."""
-        masks = [c << offset for c in _masks((0, 1), (2, 3))]
-        found = _masks((1, 3))[0] << offset
-        expected = _masks((0, 2))[0] << offset
+        masks = [c << offset for c in _set_masks((0, 1), (2, 3))]
+        found = _set_masks((1, 3))[0] << offset
+        expected = _set_masks((0, 2))[0] << offset
         universe = offset + 4
-        assert naive_optima(4, _masks((0, 1), (2, 3)))[0] << offset == expected
+        assert naive_optima(4, _set_masks((0, 1), (2, 3)))[0] << offset == expected
         assert kernel.lex_min_hitting_set(universe, masks, found) == expected
         probes = []
         probe = _pure._probe
@@ -679,7 +682,7 @@ class TestHittingSetOracle:
     def test_exclusion_edge_systems(self, check, sets, offset):
         """Systems where the excluded elements cut the constraints the
         search reads; offset 55 moves them to the word's top bits."""
-        check(offset + 7, _masks(*[tuple(v + offset for v in s) for s in sets]))
+        check(offset + 7, _set_masks(*[tuple(v + offset for v in s) for s in sets]))
 
     @pytest.mark.parametrize("top", [False, True], ids=["low", "top-of-word"])
     @pytest.mark.parametrize(
@@ -719,7 +722,7 @@ class TestHittingSetOracle:
         universe = 1 + max(max(s) for s in sets)
         offset = 62 - universe if top else 0
         universe += offset
-        masks = _masks(*[tuple(v + offset for v in s) for s in sets])
+        masks = _set_masks(*[tuple(v + offset for v in s) for s in sets])
         tried = []
         original = _pure._least
 

@@ -1,12 +1,13 @@
-"""Golden CLI outputs over the order-7 stream.
+"""Golden CLI outputs over the order-7 stream, and the order-8 records.
 
 The digests pin the exact stdout of `verify` in both formats (the human
-table with its `elapsed:` figure masked), `dim` in both modes and `scan`,
-so refactors of the solver, the checks or the input parsing must keep
-every byte (ids, floors, witnesses, verdicts) the same. Two more digests
-pin the sets the hitting-set kernels return, not only their sizes. The
-module's tests run on the pure kernels; TestCompiledKernels runs each of
-them again on the compiled build. Both patch the six kernels of
+table with its `elapsed:` figure masked), `dim` in both modes and `scan`
+over order 7, and of `verify` records over order 8 at two jobs, so
+refactors of the solver, the checks, the pool or the input parsing must
+keep every byte (ids, floors, witnesses, verdicts) the same. Two more
+digests pin the sets the hitting-set kernels return, not only their sizes.
+The module's tests run on the pure kernels; TestCompiledKernels runs each
+of them again on the compiled build. Both patch the six kernels of
 locdim.kernels and start from an empty class memo, so generation runs on
 the backend under test too.
 """
@@ -74,6 +75,16 @@ def order_seven_file(tmp_path_factory):
 def test_verify_records_gen_seven(capsys):
     assert stdout_sha256(capsys, "verify", "--gen", "7", "--format", "records") == (
         "01d79503ff8a0f4747602e7b9c5c08835e82f02f9b96de87babb5a7e61d3d10b"
+    )
+
+
+def test_verify_records_gen_eight_two_jobs(capsys):
+    """The one input here on which the pool maps dozens of chunks: the
+    11117 order-8 classes, 44 chunks, over two worker processes that
+    inherit the kernels under test."""
+    argv = ("verify", "--gen", "8", "--format", "records", "--jobs", "2")
+    assert stdout_sha256(capsys, *argv) == (
+        "42845fd2bf137559dea601b3ed46956d8df55fac608d31f379f992e889093cfe"
     )
 
 
@@ -161,6 +172,7 @@ class TestCompiledKernels:
         use_kernels(monkeypatch, compiled)
 
     test_verify_records_gen_seven = staticmethod(test_verify_records_gen_seven)
+    test_verify_records_gen_eight_two_jobs = staticmethod(test_verify_records_gen_eight_two_jobs)
     test_verify_text_gen_seven = staticmethod(test_verify_text_gen_seven)
     test_dim_witness_order_seven = staticmethod(test_dim_witness_order_seven)
     test_scan_gen_seven = staticmethod(test_scan_gen_seven)

@@ -131,11 +131,12 @@ def test_scan_computes_each_once(counts):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Call counters on dimension._chunk_masks, the chunk builder, and
-    dimension._distinguisher_masks, the one-graph walk."""
+    """Call counters on dimension._sliced_masks, the bit-sliced walk of a
+    chunk's graphs of one field width, and dimension._distinguisher_masks,
+    the one-graph walk."""
     tally = {"chunk": 0, "one_graph": 0}
     monkeypatch.setattr(
-        dimension, "_chunk_masks", _counted(tally, "chunk", dimension._chunk_masks)
+        dimension, "_sliced_masks", _counted(tally, "chunk", dimension._sliced_masks)
     )
     monkeypatch.setattr(
         dimension,

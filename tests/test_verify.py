@@ -217,6 +217,15 @@ class TestNormalize:
         with pytest.raises(ValueError, match="no check ids given"):
             run_suite(graphs(), checks=[])
 
+    def test_a_bare_string_is_not_a_selection(self):
+        # iterating "C1" would ask for checks "C" and "1"
+        text = r"^check ids come as a sequence, not the string 'C1'$"
+        with pytest.raises(ValueError, match=text):
+            normalize_checks("C1")
+        with pytest.raises(ValueError, match=text):
+            run_suite(connected_graphs(4), checks="C1")
+        assert normalize_checks(["C1"]) == ("C1",)
+
 
 class TestSuite:
     def test_gen5_is_clean(self):
@@ -377,10 +386,25 @@ class TestSuite:
         assert checked == drawn
 
     def test_pool_gets_no_more_workers_than_graphs(self, monkeypatch):
-        """A pool asked for 1000 workers over the 2 order-3 classes is sized
-        to 2. The pool is a recording stand-in that maps in this process, so
-        no worker process is started."""
+        """A pool asked for 1000 workers over 3*CHUNK + 1 graphs gets 4, one
+        per chunk, and maps the very lists a serial run checks; an input of
+        at most CHUNK graphs starts no pool. The pool is a recording
+        stand-in that maps in this process, so no worker process is
+        started."""
+        classes = list(connected_graphs(5))
+
+        def stream(total):
+            return itertools.islice(itertools.cycle(classes), total)
+
+        check = verify_mod._check_chunk
+        checked = []
+
+        def recorded(graphs, ids):
+            checked.append(graphs)
+            return check(graphs, ids)
+
         sizes = []
+        mapped = []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -393,12 +417,26 @@ class TestSuite:
                 return False
 
             def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
+                tasks = list(iterable)
+                mapped.extend(tasks)
+                return map(fn, tasks)
 
+        monkeypatch.setattr(verify_mod, "_check_chunk", recorded)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        fanned = run_suite(connected_graphs(3), jobs=1000, source="x")
-        assert sizes == [2]
-        assert fanned.to_records() == run_suite(connected_graphs(3), source="x").to_records()
+        chunk = verify_mod.CHUNK
+        total = 3 * chunk + 1
+        serial = run_suite(stream(total), source="x")
+        serial_chunks = checked[:]
+        fanned = run_suite(stream(total), jobs=1000, source="x")
+        assert sizes == [4]
+        assert [len(task) for task in mapped] == [chunk, chunk, chunk, 1]
+        assert mapped == serial_chunks == checked[len(serial_chunks):]
+        assert fanned.to_records() == serial.to_records()
+        for short in (1, 2, chunk):
+            mapped.clear()
+            fanned = run_suite(stream(short), jobs=1000, source="x")
+            assert sizes == [4] and mapped == []
+            assert fanned.to_records() == run_suite(stream(short), source="x").to_records()
 
 
 @pytest.fixture
@@ -445,26 +483,46 @@ class TestChunks:
         chunked = verify_mod._chunk_facts(graphs)
         assert [vars(f) for f in chunked] == [vars(GraphFacts(g)) for g in graphs]
 
+    @staticmethod
+    def _faulty(first: str, ok: list) -> tuple[list, object]:
+        """ok with a graph with n < 3 and a disconnected graph inserted, the
+        one named by `first` earlier, and the error the run must raise."""
+        short = path(2)
+        disconnected = build(4, [(0, 1), (2, 3)])
+        faults = [short, disconnected] if first == "n < 3" else [disconnected, short]
+        graphs = [*ok[:-16], faults[0], *ok[-16:-6], faults[1], *ok[-6:]]
+        if first == "n < 3":
+            raises = pytest.raises(ValueError, match=r"^checks need n >= 3, got n=2$")
+        else:
+            raises = pytest.raises(
+                DisconnectedError, match=r"^distances undefined: graph is disconnected$"
+            )
+        return graphs, raises
+
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("first", ["n < 3", "disconnected"])
     def test_the_earlier_fault_in_a_chunk_wins(self, first, jobs):
         """A chunk holding a graph with n < 3 and a disconnected graph
-        raises for whichever comes first in input order."""
-        short = path(2)
-        disconnected = build(4, [(0, 1), (2, 3)])
-        faults = [short, disconnected] if first == "n < 3" else [disconnected, short]
-        ok = list(connected_graphs(5))
-        graphs = [*ok[:5], faults[0], *ok[5:10], faults[1], *ok[10:]]
+        raises for whichever comes first in input order. The input is one
+        chunk, so at jobs 2 too it is checked in this process."""
+        graphs, raises = self._faulty(first, list(connected_graphs(5)))
         assert len(graphs) < verify_mod.CHUNK
-        if first == "n < 3":
-            raises = pytest.raises(ValueError, match=r"^checks need n >= 3, got n=2$")
-        else:
-            raises = pytest.raises(DisconnectedError, match="graph is disconnected")
         with raises:
             run_suite(graphs, jobs=jobs)
         with raises:
             for g in graphs:
                 check_graph(g)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("first", ["n < 3", "disconnected"])
+    def test_a_worker_fault_reaches_the_caller_unchanged(self, first, jobs):
+        """Both faults sit in the second chunk of a longer input, so at
+        jobs 2 a worker process raises, and the caller sees the same type
+        and text as a serial run."""
+        graphs, raises = self._faulty(first, _relabeled_order_seven(verify_mod.CHUNK + 30))
+        assert verify_mod.CHUNK < graphs.index(path(2)) < len(graphs)
+        with raises:
+            run_suite(graphs, jobs=jobs)
 
 
 class TestReportData:
@@ -557,6 +615,15 @@ class TestScan:
     def test_omega_filter(self):
         report = scan_clique_ratio([gamma1(), gamma2()], omega_values=[5])
         assert report.applicable == 0
+
+    @pytest.mark.parametrize("empty", [[], (), iter([])])
+    def test_empty_omega_selection_is_rejected_before_any_graph(self, empty):
+        def graphs():
+            raise AssertionError("a graph was read")
+            yield
+
+        with pytest.raises(ValueError, match="^no omega values given$"):
+            scan_clique_ratio(graphs(), omega_values=empty)
 
     @pytest.mark.parametrize("omega", [-3, 0, 1, 2])
     def test_omega_below_three_is_rejected_before_any_graph(self, omega):
