@@ -60,20 +60,20 @@ def _graph_id(g: Graph) -> str:
     return to_graph6(g)
 
 
-# graphs per unit of work: a run draws this many at a time, and each such
-# chunk is one pool task. Each fact is computed over the whole chunk before
-# the next, which keeps one layer's code and branches hot. Facts and
-# verdicts per relabeled order-8 class, in process: graph by graph 153 us
-# pure and 38 compiled; chunks of 8, 132 and 38; chunks of 32 to all 11117,
-# 121-127 and 33-35. Pool wall at jobs=2 over the same classes did not tell
-# chunks of 64 to 1024 apart on either backend (BENCH_27.json)
+# graphs per unit of work: a run draws at most this many at a time, and
+# each such chunk is one pool task. Each fact is computed over the whole
+# chunk before the next, which keeps one layer's code and branches hot.
+# Facts and verdicts per relabeled order-8 class, in process: graph by graph
+# 153 us pure and 38 compiled; chunks of 8, 132 and 38; chunks of 32 to all
+# 11117, 121-127 and 33-35. Pool wall at jobs=2 over the same classes did
+# not tell chunks of 64 to 1024 apart on either backend (BENCH_27.json)
 CHUNK = 256
 
 
-def _chunks(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
-    """The stream in lists of at most CHUNK graphs, each drawn when asked for."""
+def _chunks(graphs: Iterable[Graph], size: int = CHUNK) -> Iterator[list[Graph]]:
+    """The stream in lists of at most `size` graphs, each drawn when asked for."""
     stream = iter(graphs)
-    while chunk := list(itertools.islice(stream, CHUNK)):
+    while chunk := list(itertools.islice(stream, size)):
         yield chunk
 
 
@@ -433,19 +433,24 @@ def run_suite(
     """Evaluate checks over a graph stream a chunk at a time, with optional
     process fan-out.
 
-    _chunks cuts the stream into chunks of CHUNK graphs, each checked by
-    _check_chunk, one fact over the whole chunk before the next. One job
-    draws the stream a chunk at a time and never holds it whole. More jobs
-    list the chunks, since the pool's size needs their count, and map them
-    one task each; an input of one chunk runs in this process. Report order
-    follows the input order whatever the worker count, so to_records output
-    is byte-identical for any `jobs`.
+    _chunks cuts the stream into chunks, each checked by _check_chunk, one
+    fact over the whole chunk before the next. One job draws the stream in
+    chunks of CHUNK graphs and never holds it whole. More jobs list the
+    input and cut it into chunks of CHUNK graphs, or of an equal share per
+    job where that is smaller, so a short input still gives every worker a
+    chunk; they map the chunks one task each, and an input of one chunk
+    runs in this process. Report order follows the input order whatever the
+    worker count, so to_records output is byte-identical for any `jobs`.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     ids = normalize_checks(checks)
     fn = functools.partial(_check_chunk, ids=ids)
-    chunks = list(_chunks(graphs)) if jobs > 1 else _chunks(graphs)
+    if jobs > 1:
+        graphs = list(graphs)
+        chunks = list(_chunks(graphs, min(CHUNK, -(-len(graphs) // jobs))))
+    else:
+        chunks = _chunks(graphs)
     started = time.perf_counter()
     if jobs > 1 and len(chunks) > 1:
         # imported here: concurrent.futures.process pulls in multiprocessing,

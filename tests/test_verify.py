@@ -386,11 +386,12 @@ class TestSuite:
         assert checked == drawn
 
     def test_pool_gets_no_more_workers_than_graphs(self, monkeypatch):
-        """A pool asked for 1000 workers over 3*CHUNK + 1 graphs gets 4, one
-        per chunk, and maps the very lists a serial run checks; an input of
-        at most CHUNK graphs starts no pool. The pool is a recording
-        stand-in that maps in this process, so no worker process is
-        started."""
+        """Over more jobs, the pool maps chunks of CHUNK graphs, or of an
+        equal share per job where that is smaller, and gets one worker per
+        chunk at most: 1000 jobs over 2 graphs get 2. A long input maps the
+        very lists a serial run checks, and an input of one graph starts no
+        pool. The pool is a recording stand-in that maps in this process,
+        so no worker process is started."""
         classes = list(connected_graphs(5))
 
         def stream(total):
@@ -424,19 +425,25 @@ class TestSuite:
         monkeypatch.setattr(verify_mod, "_check_chunk", recorded)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         chunk = verify_mod.CHUNK
-        total = 3 * chunk + 1
-        serial = run_suite(stream(total), source="x")
+        long = 3 * chunk + 1
+        serial = run_suite(stream(long), source="x")
         serial_chunks = checked[:]
-        fanned = run_suite(stream(total), jobs=1000, source="x")
-        assert sizes == [4]
+        fanned = run_suite(stream(long), jobs=2, source="x")
+        assert sizes == [2]
         assert [len(task) for task in mapped] == [chunk, chunk, chunk, 1]
         assert mapped == serial_chunks == checked[len(serial_chunks):]
         assert fanned.to_records() == serial.to_records()
-        for short in (1, 2, chunk):
+        for total, jobs, workers, lengths in [
+            (chunk, 2, [2], [chunk // 2, chunk // 2]),
+            (5, 3, [3], [2, 2, 1]),
+            (2, 1000, [2], [1, 1]),
+            (1, 1000, [], []),
+        ]:
+            sizes.clear()
             mapped.clear()
-            fanned = run_suite(stream(short), jobs=1000, source="x")
-            assert sizes == [4] and mapped == []
-            assert fanned.to_records() == run_suite(stream(short), source="x").to_records()
+            fanned = run_suite(stream(total), jobs=jobs, source="x")
+            assert sizes == workers and [len(task) for task in mapped] == lengths
+            assert fanned.to_records() == run_suite(stream(total), source="x").to_records()
 
 
 @pytest.fixture
@@ -485,12 +492,13 @@ class TestChunks:
 
     @staticmethod
     def _faulty(first: str, ok: list) -> tuple[list, object]:
-        """ok with a graph with n < 3 and a disconnected graph inserted, the
-        one named by `first` earlier, and the error the run must raise."""
+        """ok with a graph with n < 3 and a disconnected graph inserted
+        among its last 8, the one named by `first` earlier, and the error
+        the run must raise."""
         short = path(2)
         disconnected = build(4, [(0, 1), (2, 3)])
         faults = [short, disconnected] if first == "n < 3" else [disconnected, short]
-        graphs = [*ok[:-16], faults[0], *ok[-16:-6], faults[1], *ok[-6:]]
+        graphs = [*ok[:-8], faults[0], *ok[-8:-3], faults[1], *ok[-3:]]
         if first == "n < 3":
             raises = pytest.raises(ValueError, match=r"^checks need n >= 3, got n=2$")
         else:
@@ -504,9 +512,10 @@ class TestChunks:
     def test_the_earlier_fault_in_a_chunk_wins(self, first, jobs):
         """A chunk holding a graph with n < 3 and a disconnected graph
         raises for whichever comes first in input order. The input is one
-        chunk, so at jobs 2 too it is checked in this process."""
+        chunk at jobs 1; at jobs 2 it is two chunks of 12 and 11, and both
+        faults sit in the second."""
         graphs, raises = self._faulty(first, list(connected_graphs(5)))
-        assert len(graphs) < verify_mod.CHUNK
+        assert len(graphs) == 23 and graphs.index(path(2)) >= 12
         with raises:
             run_suite(graphs, jobs=jobs)
         with raises:
@@ -516,11 +525,11 @@ class TestChunks:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("first", ["n < 3", "disconnected"])
     def test_a_worker_fault_reaches_the_caller_unchanged(self, first, jobs):
-        """Both faults sit in the second chunk of a longer input, so at
-        jobs 2 a worker process raises, and the caller sees the same type
-        and text as a serial run."""
+        """Both faults sit in the second chunk of an input longer than
+        CHUNK at either job count, so at jobs 2 a worker process raises,
+        and the caller sees the same type and text as a serial run."""
         graphs, raises = self._faulty(first, _relabeled_order_seven(verify_mod.CHUNK + 30))
-        assert verify_mod.CHUNK < graphs.index(path(2)) < len(graphs)
+        assert verify_mod.CHUNK <= graphs.index(path(2)) < len(graphs)
         with raises:
             run_suite(graphs, jobs=jobs)
 
