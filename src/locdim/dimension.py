@@ -34,7 +34,7 @@ from .graphs import (
     bit_indices,
     is_connected,
 )
-from .invariants import clique_number, twin_partition
+from .invariants import _twin_class_count, clique_number
 
 MODES = ("local", "full")
 
@@ -101,7 +101,7 @@ def _floors(g: Graph) -> LowerBounds:
     """lower_bounds for a graph whose masks _masks has already built."""
     omega = clique_number(g)
     return LowerBounds(
-        twin=g.n - twin_partition(g).class_count,
+        twin=g.n - _twin_class_count(g),
         log_clique=(omega - 1).bit_length(),
         gap_raw=g.n - (1 << (g.n - omega)),
         omega=omega,

@@ -47,7 +47,12 @@ class Graph:
     Rows that are valid by construction skip the checks through
     _trusted_graph: those decoded from triangle bits, and a pickle, which
     holds just (n, adj), when it is loaded (in a pool worker, say).
+    A graph that is its class's canonical labeling may also carry those
+    bits as _canonical_bits (None otherwise), and then its pickle holds
+    them too; they play no part in equality or hashing.
     """
+
+    _canonical_bits: int | None = None
 
     def __init__(self, n: int, adj: Sequence[int]) -> None:
         _check_order(n)
@@ -78,7 +83,9 @@ class Graph:
         return f"{self.__class__.__qualname__}(n={self.n!r}, adj={self.adj!r})"
 
     def __reduce__(self):
-        return _trusted_graph, (self.n, self.adj)
+        if self._canonical_bits is None:
+            return _trusted_graph, (self.n, self.adj)
+        return _trusted_graph, (self.n, self.adj, self._canonical_bits)
 
     def _check_rows(self) -> None:
         """Scan every row in order and raise for the first fault found: a
@@ -157,12 +164,18 @@ class Graph:
         return Graph(self.n, rows)
 
 
-def _trusted_graph(n: int, adj: tuple[int, ...]) -> Graph:
+def _trusted_graph(
+    n: int, adj: tuple[int, ...], canonical_bits: int | None = None
+) -> Graph:
     """A Graph from n rows that are valid by construction (in range,
-    loop-free, symmetric, a tuple), set in place without the checks."""
+    loop-free, symmetric, a tuple), set in place without the checks; given
+    canonical_bits, the rows must be the canonical labeling those bits
+    encode."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "adj", adj)
+    if canonical_bits is not None:
+        object.__setattr__(g, "_canonical_bits", canonical_bits)
     return g
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .dimension import _floors, _masks, _minima, _value
 from .enumeration import CANONICAL_MAX_VERTICES, canonical_graph6, connected_graphs
 from .families import apex_triangles, complete_minus_bipartite
-from .graphs import MAX_VERTICES, Graph, bit_indices, is_bipartite, to_graph6
+from .graphs import MAX_VERTICES, Graph, _triangle_graph6, bit_indices, is_bipartite, to_graph6
 from .pattern import is_gamma_free
 
 
@@ -54,7 +54,11 @@ def complete_minus_bipartite_params(g: Graph) -> tuple[int, int] | None:
 
 
 def _graph_id(g: Graph) -> str:
-    """Canonical graph6 where canonical labeling reaches, else the input's."""
+    """Canonical graph6 where canonical labeling reaches, else the input's.
+    A graph from connected_graphs carries its canonical bits, in a pool
+    worker too, so only other input, a corpus say, is relabeled."""
+    if g._canonical_bits is not None:
+        return _triangle_graph6(g.n, g._canonical_bits)
     if g.n <= CANONICAL_MAX_VERTICES:
         return canonical_graph6(g)
     return to_graph6(g)
@@ -446,12 +450,13 @@ def run_suite(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     ids = normalize_checks(checks)
     fn = functools.partial(_check_chunk, ids=ids)
+    # before the input is listed, so the stream is timed at any job count
+    started = time.perf_counter()
     if jobs > 1:
         graphs = list(graphs)
         chunks = list(_chunks(graphs, min(CHUNK, -(-len(graphs) // jobs))))
     else:
         chunks = _chunks(graphs)
-    started = time.perf_counter()
     if jobs > 1 and len(chunks) > 1:
         # imported here: concurrent.futures.process pulls in multiprocessing,
         # which a serial run would pay for on every import of the package

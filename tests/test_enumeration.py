@@ -283,8 +283,28 @@ class TestStreams:
 
     @pytest.mark.parametrize("n", [0, 10])
     def test_stream_domain(self, n):
-        with pytest.raises(ValueError):
-            list(connected_graphs(n))
+        # refused at the call, before the stream is drawn
+        with pytest.raises(ValueError, match=f"got {n}"):
+            connected_graphs(n)
+
+    def test_stream_is_the_sorted_class_bits_rebuilt(self, monkeypatch):
+        """Generated from an empty memo, order by order, and again from the
+        memo once order 8 has been generated: the graphs graph_from_triangle_bits
+        rebuilds from the sorted class bits, each carrying its bits."""
+        monkeypatch.setattr(enumeration, "_CLASS_BITS", {})
+        for n in range(1, 9):
+            assert (n, True) not in enumeration._CLASS_BITS
+            generated = list(connected_graphs(n))
+            bits = sorted(enumeration._CLASS_BITS[(n, True)])
+            assert len(bits) == CONNECTED_CLASS_COUNTS[n]
+            assert generated == [graph_from_triangle_bits(n, b) for b in bits]
+            assert [g._canonical_bits for g in generated] == bits
+            assert all(triangle_bits(n, g.adj) == g._canonical_bits for g in generated)
+        for n in range(1, 9):
+            rebuilt = list(connected_graphs(n))
+            bits = sorted(enumeration._CLASS_BITS[(n, True)])
+            assert rebuilt == [graph_from_triangle_bits(n, b) for b in bits]
+            assert [g._canonical_bits for g in rebuilt] == bits
 
     def test_recount_domain(self):
         with pytest.raises(ValueError):
@@ -296,7 +316,7 @@ class TestOrderlyGeneration:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_all_graph_counts(self, n):
-        assert len(enumeration._class_bits(n, False)) == GRAPH_CLASS_COUNTS[n]
+        assert len(enumeration._class_bits(n)) == GRAPH_CLASS_COUNTS[n]
 
     def test_all_graphs_match_the_networkx_atlas(self):
         nx = pytest.importorskip("networkx")
@@ -309,21 +329,21 @@ class TestOrderlyGeneration:
                 adj[v] |= 1 << u
             atlas[n].add(_pure.canonical_bits(n, adj))
         for n in range(1, 8):
-            assert enumeration._class_bits(n, False) == atlas[n]
+            assert enumeration._class_bits(n) == atlas[n]
 
     @pytest.mark.parametrize("connected_only", [False, True])
     def test_no_class_accepted_twice(self, connected_only):
         for k in range(1, 7):
             children = enumeration._orderly_children(
-                k, enumeration._class_bits(k, False), connected_only
+                k, enumeration._class_bits(k), connected_only
             )
-            accepted = [bits for bits, _ in children]
+            accepted = [bits for bits, _, _ in children]
             assert len(accepted) == len(set(accepted))
 
     def test_prefilters_only_reject_non_canonical_children(self):
         rejected = 0
         for k in range(1, 6):
-            for pbits in enumeration._class_bits(k, False):
+            for pbits in enumeration._class_bits(k):
                 adj = graph_from_triangle_bits(k, pbits).adj
                 kept = set(enumeration._admissible_columns(pbits, adj))
                 for column in range(1 << k):
@@ -379,7 +399,7 @@ class TestTriangleGraph6:
 
     def test_every_class_up_to_order_seven(self):
         for n in range(1, 8):
-            for bits in enumeration._class_bits(n, False):
+            for bits in enumeration._class_bits(n):
                 self._check(n, bits)
 
     def test_random_graphs_of_every_order(self):

@@ -20,6 +20,7 @@ from locdim.graphs import (
     Graph,
     Graph6Error,
     _reach,
+    _trusted_graph,
     bfs_distances,
     bit_indices,
     build,
@@ -230,6 +231,16 @@ class TestValueSemantics:
         assert back == g and hash(back) == hash(g) and back.m == 7
         with pytest.raises(AttributeError):
             back.n = 1
+
+    def test_canonical_bits_ride_along_and_survive_a_pickle(self):
+        # the 5-cycle's canonical labeling, as the class stream yields it
+        plain = graph_from_triangle_bits(5, 0b0011011100)
+        marked = _trusted_graph(5, plain.adj, 0b0011011100)
+        assert plain._canonical_bits is None and marked._canonical_bits == 0b0011011100
+        assert marked == plain and hash(marked) == hash(plain)
+        back = pickle.loads(pickle.dumps(marked))
+        assert back == plain and back._canonical_bits == 0b0011011100
+        assert pickle.loads(pickle.dumps(plain))._canonical_bits is None
 
 
 class TestGraph6:

@@ -6,14 +6,14 @@ import itertools
 import random
 
 import pytest
-from conftest import naive_clique, stream_upto
+from conftest import naive_clique, stream_upto, twin_rich_graphs
 
 from locdim import kernels
 from locdim.dimension import lower_bounds
 from locdim.enumeration import connected_graphs
 from locdim.families import complete, complete_minus_bipartite, cycle, path
 from locdim.graphs import DisconnectedError, build
-from locdim.invariants import clique_number, max_clique, twin_partition
+from locdim.invariants import _twin_class_count, clique_number, max_clique, twin_partition
 
 
 class TestClique:
@@ -137,3 +137,22 @@ class TestTwins:
             reps = [cls[0] for cls in tp.classes]
             for u, v in itertools.combinations(reps, 2):
                 assert g.adj[u] | (1 << u) != g.adj[v] | (1 << v)
+
+    def test_the_floors_count_is_the_partitions(self):
+        # _twin_class_count, which the twin floor reads, on every connected
+        # class up to order 8 and on random and twin-rich graphs up to 62
+        graphs = [g for n in range(1, 9) for g in connected_graphs(n)]
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(1, 62)
+            p = rng.choice((0.1, 0.5, 0.9, 0.98))
+            graphs.append(
+                build(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            )
+        graphs += twin_rich_graphs()
+        has_twins = set()
+        for g in graphs:
+            count = _twin_class_count(g)
+            assert count == twin_partition(g).class_count, g.edges()
+            has_twins.add(count < g.n)
+        assert has_twins == {False, True}

@@ -1,7 +1,7 @@
 """Each verb computes each answer once.
 
-The clique number and the true-twin partition are computed once per
-graph: by the floors, whose LowerBounds every consumer reads.
+The clique number and the count of true-twin classes are computed once
+per graph: by the floors, whose LowerBounds every consumer reads.
 Connectivity is tested once per graph too: solves, the sweep and scan
 build the distinguisher masks first, whose walk refuses a disconnected
 graph, and only the public lower_bounds runs graphs.is_connected. The
@@ -11,6 +11,10 @@ hitting-set call and never rebuild a witness, a suite run normalizes its
 check ids once, and the human verify report collects its violations once.
 No floor reaches a value search, and a witness is rebuilt by one
 lex_min_hitting_set call, whose probes run inside the kernel.
+A `--gen` sweep tests canonicity only while it generates, and takes each
+graph's id from the canonical bits generation hands on, so it relabels
+no graph, in a pool worker either; `--corpus` input is relabeled once
+per graph.
 
 The family tools (problem1_refutation behind `refute-problem1`, and
 family_split_table) solve each member with one unseeded hitting-set call
@@ -27,7 +31,7 @@ import pytest
 from conftest import random_connected
 
 import locdim.kernels
-from locdim import dimension, invariants, pattern, verify
+from locdim import dimension, enumeration, invariants, pattern, verify
 from locdim.cli import main
 from locdim.enumeration import connected_graphs, read_corpus
 from locdim.families import from_spec
@@ -55,19 +59,20 @@ def _counted(tally: dict[str, int], name: str, fn):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Call counters on kernels.max_clique, and on twin_partition and
-    is_connected in every locdim module whose own namespace holds them.
+    """Call counters on kernels.max_clique, and on the floors' count of
+    twin classes, invariants._twin_class_count, and is_connected in every
+    locdim module whose own namespace holds them.
     The package resolves these names lazily from their modules, so it sees
     the wrappers without a patch."""
-    tally = {"max_clique": 0, "twin_partition": 0, "is_connected": 0}
+    tally = {"max_clique": 0, "twin_classes": 0, "is_connected": 0}
     monkeypatch.setattr(
         locdim.kernels, "max_clique", _counted(tally, "max_clique", locdim.kernels.max_clique)
     )
-    for name, original in [
-        ("twin_partition", invariants.twin_partition),
-        ("is_connected", is_connected),
+    for key, name, original in [
+        ("twin_classes", "_twin_class_count", invariants._twin_class_count),
+        ("is_connected", "is_connected", is_connected),
     ]:
-        wrapped = _counted(tally, name, original)
+        wrapped = _counted(tally, key, original)
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("locdim") and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, wrapped)
@@ -79,17 +84,17 @@ def test_check_graph_computes_each_once(counts):
     for g in graphs:
         check_graph(g)
     n = len(graphs)
-    assert counts == {"max_clique": n, "twin_partition": n, "is_connected": 0}
+    assert counts == {"max_clique": n, "twin_classes": n, "is_connected": 0}
 
 
 def test_suite_and_facts_compute_each_once(counts):
     stream = list(connected_graphs(6))
     n = len(stream)
     assert run_suite(stream).graph_count == n
-    assert counts == {"max_clique": n, "twin_partition": n, "is_connected": 0}
+    assert counts == {"max_clique": n, "twin_classes": n, "is_connected": 0}
     for g in stream:
         GraphFacts(g)
-    assert counts == {"max_clique": 2 * n, "twin_partition": 2 * n, "is_connected": 0}
+    assert counts == {"max_clique": 2 * n, "twin_classes": 2 * n, "is_connected": 0}
 
 
 @pytest.mark.parametrize("solve", [dimension.local_metric_dimension, dimension.metric_dimension])
@@ -98,7 +103,7 @@ def test_solve_computes_each_once_and_tests_no_connectivity(counts, solve):
     for g in stream:
         solve(g)
     n = len(stream)
-    assert counts == {"max_clique": n, "twin_partition": n, "is_connected": 0}
+    assert counts == {"max_clique": n, "twin_classes": n, "is_connected": 0}
 
 
 def test_lower_bounds_tests_connectivity_once_per_call(counts):
@@ -107,7 +112,7 @@ def test_lower_bounds_tests_connectivity_once_per_call(counts):
         dimension.lower_bounds(g)
         dimension.lower_bounds(g)
     n = 2 * len(stream)
-    assert counts == {"max_clique": n, "twin_partition": n, "is_connected": n}
+    assert counts == {"max_clique": n, "twin_classes": n, "is_connected": n}
 
 
 @pytest.mark.parametrize("mode", ["local", "full"])
@@ -119,14 +124,14 @@ def test_dim_computes_each_once_per_line(counts, capsys, tmp_path, mode):
         assert main(["dim", "--input", str(target), "--mode", mode, *extra]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 21
-    assert counts == {"max_clique": 42, "twin_partition": 42, "is_connected": 0}
+    assert counts == {"max_clique": 42, "twin_classes": 42, "is_connected": 0}
 
 
 def test_scan_computes_each_once(counts):
     graphs = list(connected_graphs(5))
     assert scan_clique_ratio(graphs).total == len(graphs)
     n = len(graphs)
-    assert counts == {"max_clique": n, "twin_partition": n, "is_connected": 0}
+    assert counts == {"max_clique": n, "twin_classes": n, "is_connected": 0}
 
 
 @pytest.fixture
@@ -231,7 +236,7 @@ def test_family_tools_solve_each_member_once_for_the_value(counts, solves):
     members = len(problem1_refutation(5).rows) + len(family_split_table(7).rows)
     assert members == 4 + 22
     assert solves == {"rebuilds": 0, "floors": [0] * members}
-    assert counts == {"max_clique": 0, "twin_partition": 0, "is_connected": 0}
+    assert counts == {"max_clique": 0, "twin_classes": 0, "is_connected": 0}
 
 
 NAMED_HOSTS = ["gamma1", "gamma2", "knm(9,4,2)", "upsilon(7)", "lambda", "apex(4)"]
@@ -293,6 +298,53 @@ def test_human_verify_collects_the_violations_once(monkeypatch, capsys):
     assert main(["verify", "--gen", "5"]) == 0
     assert "violations: none" in capsys.readouterr().out
     assert tally == {"violations": 1}
+
+
+@pytest.fixture
+def labeling(monkeypatch):
+    """Call counters on the two canonicity kernels and on
+    enumeration.canonical_key, with the memo of generated classes empty."""
+    monkeypatch.setattr(enumeration, "_CLASS_BITS", {})
+    tally = {"is_canonical": 0, "canonical_bits": 0, "canonical_key": 0}
+    for name in ("is_canonical", "canonical_bits"):
+        monkeypatch.setattr(
+            locdim.kernels, name, _counted(tally, name, getattr(locdim.kernels, name))
+        )
+    monkeypatch.setattr(
+        enumeration, "canonical_key", _counted(tally, "canonical_key", enumeration.canonical_key)
+    )
+    return tally
+
+
+def test_gen_sweep_labels_only_in_generation(labeling, capsys, tmp_path):
+    """Generation alone tests 1695 children from an empty memo, and a cold
+    `verify --gen 7` tests the same 1695 and relabels none of its 853
+    graphs; `--corpus` over those graphs relabels each one."""
+    graphs = list(connected_graphs(7))
+    assert labeling == {"is_canonical": 1695, "canonical_bits": 0, "canonical_key": 0}
+    enumeration._CLASS_BITS.clear()
+    labeling.update(is_canonical=0)
+    assert main(["verify", "--gen", "7", "--format", "records"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 853 * 11
+    assert labeling == {"is_canonical": 1695, "canonical_bits": 0, "canonical_key": 0}
+    target = tmp_path / "order7.g6"
+    target.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    assert main(["verify", "--corpus", str(target), "--format", "records"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 853 * 11
+    assert labeling == {"is_canonical": 1695, "canonical_bits": 0, "canonical_key": 853}
+
+
+def test_pool_workers_relabel_no_generated_graph(monkeypatch):
+    # forked workers inherit the refusals, and a raise there reaches the
+    # parent: the graphs' canonical bits came through the pickles
+    stream = connected_graphs(7)
+
+    def refuse(*args):
+        raise AssertionError("a generated graph was relabeled")
+
+    monkeypatch.setattr(locdim.kernels, "canonical_bits", refuse)
+    monkeypatch.setattr(enumeration, "canonical_key", refuse)
+    assert run_suite(stream, jobs=2).to_records() == run_suite(connected_graphs(7)).to_records()
 
 
 def _refuse_checked_graphs(monkeypatch):

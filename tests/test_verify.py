@@ -6,6 +6,7 @@ import concurrent.futures
 import itertools
 import pickle
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -261,6 +262,17 @@ class TestSuite:
     def test_jobs_domain(self):
         with pytest.raises(ValueError, match="jobs"):
             run_suite([cycle(5)], jobs=0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_elapsed_includes_drawing_the_stream(self, jobs):
+        # more jobs list the input first, and that listing is timed too
+        def slow_stream():
+            time.sleep(0.2)
+            yield from connected_graphs(4)
+
+        report = run_suite(slow_stream(), jobs=jobs)
+        assert report.graph_count == 6
+        assert report.elapsed >= 0.2
 
     def test_violation_reporting(self):
         # a synthetic failing result must surface in every view
